@@ -140,6 +140,23 @@ class TestFusedMatmul:
         fused_matmul_t(rand((8, 256), 10), q, meter_t)
         assert 0 < meter_t.peak_elements <= TILE_ELEMENTS
 
+    def test_rows_wider_than_a_tile(self):
+        # plan (8, 1) x (8, 4099): the packed core is 64 x 4099, so one of its
+        # rows does not fit in a tile and is unpacked in row pieces
+        q = deco_quantize(rand((8, 32792), 11), 4)
+        assert q.plan.i_factors == (8, 1) and q.plan.j_factors == (8, 4099)
+        packed = q.local_tensors[1]
+        assert packed.shape[2] * packed.shape[3] > TILE_ELEMENTS
+        full = deco_dequantize(q).astype(np.float64)
+        x = rand((3, 8), 12)
+        meter = WorkingSetMeter()
+        assert rel_err(x @ full, fused_matmul(x, q, meter)) < 1e-4
+        assert 0 < meter.peak_elements <= TILE_ELEMENTS
+        x_t = rand((3, 32792), 13)
+        meter_t = WorkingSetMeter()
+        assert rel_err(x_t @ full.T, fused_matmul_t(x_t, q, meter_t)) < 1e-4
+        assert 0 < meter_t.peak_elements <= TILE_ELEMENTS
+
     def test_shape_mismatch(self):
         q = deco_quantize(rand((16, 16)), 4)
         with pytest.raises(ShapeMismatch):
