@@ -19,8 +19,11 @@ work:
 
 Reads either rebuild the matrix (deco_dequantize) or stream through the
 packed payloads tile-by-tile (fused_matmul / fused_matmul_t) without ever
-materializing a dequantized core: the transient dequantized buffer never
-exceeds one 64x64 tile.
+materializing a dequantized core. A packed core is read as a (rows, cols)
+matrix; a tile is as many whole rows as fit in TILE_ELEMENTS (64*64) values,
+or, when one row is wider than that, a TILE_ELEMENTS-wide piece of one row.
+Either way a tile is one contiguous range of the payload, and the transient
+dequantized buffer never exceeds TILE_ELEMENTS values.
 """
 
 from dataclasses import dataclass
@@ -153,66 +156,36 @@ def deco_quantize(m: np.ndarray, bits: int, n: int = 2) -> QuantizedMpo:
     return QuantizedMpo(plan=chain.plan(), bits=bits, local_tensors=tuple(cores))
 
 
-def _rebuild_chain(q: QuantizedMpo) -> mpo.MpoChain:
+def deco_dequantize(q: QuantizedMpo) -> np.ndarray:
+    """Recover the full-precision matrix (reference path, materializes)."""
     cores = [
         dequantize(t) if isinstance(t, QuantizedTensor) else t
         for t in q.local_tensors
     ]
-    return mpo.MpoChain(tuple(cores))
+    return mpo.reconstruct(mpo.MpoChain(tuple(cores)))
 
 
-def deco_dequantize(q: QuantizedMpo) -> np.ndarray:
-    """Recover the full-precision matrix (reference path, materializes)."""
-    return mpo.reconstruct(_rebuild_chain(q))
+def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter):
+    """Yield (row slice, column slice, float64 tile) over a packed (rows, cols) M.
 
-
-def _gemm_packed_right(a: np.ndarray, qt: QuantizedTensor, rows: int, cols: int, meter):
-    """a @ M for a packed matrix M of shape (rows, cols), tiled unpacking."""
+    Whole rows while a row fits in TILE_ELEMENTS, else TILE_ELEMENTS-wide
+    pieces of one row: each tile is one contiguous unpack_range.
+    """
     scale = np.float64(qt.scale)
-    out = np.zeros((a.shape[0], cols), dtype=np.float64)
-    if cols <= TILE_ELEMENTS:
-        row_tile = max(1, TILE_ELEMENTS // cols)
-        for r0 in range(0, rows, row_tile):
-            r1 = min(rows, r0 + row_tile)
-            codes = unpack_range(qt.payload, r0 * cols, (r1 - r0) * cols, qt.bits)
+    height = max(1, TILE_ELEMENTS // cols)
+    width = min(cols, TILE_ELEMENTS)
+    pieces = [slice(c0, min(cols, c0 + width)) for c0 in range(0, cols, width)]
+    for r0 in range(0, rows, height):
+        rs = slice(r0, min(rows, r0 + height))
+        h = rs.stop - r0
+        for cs in pieces:
+            start, count = r0 * cols + cs.start, h * (cs.stop - cs.start)
+            codes = unpack_range(qt.payload, start, count, qt.bits)
             if meter is not None:
-                meter.record(codes.size)
-            tile = codes.astype(np.float64).reshape(r1 - r0, cols) * scale
-            out += a[:, r0:r1] @ tile
-    else:
-        for r in range(rows):
-            for c0 in range(0, cols, TILE_ELEMENTS):
-                c1 = min(cols, c0 + TILE_ELEMENTS)
-                codes = unpack_range(qt.payload, r * cols + c0, c1 - c0, qt.bits)
-                if meter is not None:
-                    meter.record(codes.size)
-                out[:, c0:c1] += np.outer(a[:, r], codes.astype(np.float64) * scale)
-    return out
-
-
-def _gemm_packed_left(qt: QuantizedTensor, rows: int, cols: int, b: np.ndarray, meter):
-    """M @ b for a packed matrix M of shape (rows, cols), tiled unpacking."""
-    scale = np.float64(qt.scale)
-    out = np.empty((rows, b.shape[1]), dtype=np.float64)
-    if cols <= TILE_ELEMENTS:
-        row_tile = max(1, TILE_ELEMENTS // cols)
-        for r0 in range(0, rows, row_tile):
-            r1 = min(rows, r0 + row_tile)
-            codes = unpack_range(qt.payload, r0 * cols, (r1 - r0) * cols, qt.bits)
-            if meter is not None:
-                meter.record(codes.size)
-            tile = codes.astype(np.float64).reshape(r1 - r0, cols) * scale
-            out[r0:r1] = tile @ b
-        return out
-    out[:] = 0.0
-    for r in range(rows):
-        for c0 in range(0, cols, TILE_ELEMENTS):
-            c1 = min(cols, c0 + TILE_ELEMENTS)
-            codes = unpack_range(qt.payload, r * cols + c0, c1 - c0, qt.bits)
-            if meter is not None:
-                meter.record(codes.size)
-            out[r] += (codes.astype(np.float64) * scale) @ b[c0:c1]
-    return out
+                meter.record(count)
+            tile = codes.astype(np.float64).reshape(h, -1)
+            tile *= scale
+            yield rs, cs, tile
 
 
 def fused_matmul(x: np.ndarray, q: QuantizedMpo, meter: WorkingSetMeter = None):
@@ -242,7 +215,10 @@ def fused_matmul(x: np.ndarray, q: QuantizedMpo, meter: WorkingSetMeter = None):
         core = q.local_tensors[k]
         d_next = core.shape[3]
         if isinstance(core, QuantizedTensor):
-            out = _gemm_packed_right(a, core, d * ik, jk * d_next, meter)
+            out = np.zeros((a.shape[0], jk * d_next), dtype=np.float64)
+            for rs, cs, tile in _tiles(core, d * ik, jk * d_next, meter):
+                acc = out[:, cs]  # out[:, cs] += would copy the slice back
+                acc += a[:, rs] @ tile
         else:
             out = a @ np.asarray(core, dtype=np.float64).reshape(d * ik, jk * d_next)
         j_acc *= jk
@@ -279,7 +255,10 @@ def fused_matmul_t(x: np.ndarray, q: QuantizedMpo, meter: WorkingSetMeter = None
         b = cur.reshape(jk * d_k, j_lead * i_acc * p)
         core = q.local_tensors[k]
         if isinstance(core, QuantizedTensor):
-            out = _gemm_packed_left(core, d_prev * ik, jk * d_k, b, meter)
+            out = np.zeros((d_prev * ik, b.shape[1]), dtype=np.float64)
+            for rs, cs, tile in _tiles(core, d_prev * ik, jk * d_k, meter):
+                acc = out[rs]
+                acc += tile @ b[cs]
         else:
             out = np.asarray(core, dtype=np.float64).reshape(d_prev * ik, jk * d_k) @ b
         # (d_prev, ik, j_lead, i_acc, p) -> (j_lead, d_prev, ik, i_acc, p)

@@ -59,3 +59,7 @@ class EmptyInput(DquantError, ValueError):
 
 class MalformedFile(DquantError, ValueError):
     """File does not follow the declared binary layout."""
+
+
+class InvariantViolated(DquantError, RuntimeError):
+    """Internal bookkeeping broke one of its own invariants (a program fault)."""

@@ -41,6 +41,11 @@ DTYPE_PACKED = 1
 
 
 def _read_exact(f, n, what):
+    """Read n bytes; a size beyond the end of the file is never allocated."""
+    here = f.tell()
+    if n > f.seek(0, io.SEEK_END) - here:
+        raise MalformedFile(f"truncated file while reading {what}")
+    f.seek(here)
     data = f.read(n)
     if len(data) != n:
         raise MalformedFile(f"truncated file while reading {what}")
@@ -146,6 +151,8 @@ def read_mpo(path) -> QuantizedMpo:
             is_packed = isinstance(t, QuantizedTensor)
             if bool(flags[k]) != is_packed:
                 raise MalformedFile(f"core {k} does not match its flag")
+            if is_packed and t.bits != bits:
+                raise MalformedFile(f"core {k} is {t.bits}-bit, header says {bits}")
             cores.append(t)
         _expect_eof(f, "chain payload")
         try:

@@ -3,9 +3,13 @@
 Lifecycle: prefill stores each of K and V as one compressed segment;
 decode appends full-precision rows to a tail buffer, and the moment the
 tail reaches `chunk_len` rows it is compressed into a new immutable
-segment and the tail resets. Attention-side reads stream quantized
-segments through the fused multiply so no full-precision copy of a
-segment is ever materialized; the tail is multiplied directly.
+segment and the tail resets.
+
+Every read walks the same parts, the segments and then the live tail as
+one more dense part, and counts each part's stored bytes as read traffic.
+attention_scores streams quantized segments through the fused multiply,
+so it makes no full-precision copy of a segment; read_keys and
+read_values rebuild each segment in full with deco_dequantize.
 
 In full-precision mode (bits=None) segments are stored as plain arrays
 and every read is bit-exact.
@@ -28,7 +32,13 @@ from .compress import (
     deco_quantize,
     fused_matmul_t,
 )
-from .errors import AlreadyPrefilled, DimMismatch, LayerOutOfRange, ShapeMismatch
+from .errors import (
+    AlreadyPrefilled,
+    DimMismatch,
+    InvariantViolated,
+    LayerOutOfRange,
+    ShapeMismatch,
+)
 from .quantize import SUPPORTED_BITS, UnsupportedBits
 
 TRACE_COLUMNS = (
@@ -72,6 +82,13 @@ class MemoryLedger:
         if self.bytes_fp16_equivalent == 0:
             return 1.0
         return self.bytes_actual / self.bytes_fp16_equivalent
+
+
+def _stored_bytes(part) -> int:
+    """Bytes a segment or tail part occupies at the 16-bit baseline."""
+    if isinstance(part, QuantizedMpo):
+        return compression_report(part).bytes_compressed
+    return part.size * 2
 
 
 class LayerCache:
@@ -127,16 +144,16 @@ class LayerCache:
             self._seg_rows.append(self.config.chunk_len)
             self.tail_len = 0
 
-    def _segment_bytes(self, seg) -> int:
-        if isinstance(seg, QuantizedMpo):
-            return compression_report(seg).bytes_compressed
-        return seg.size * 2
+    def key_parts(self) -> list:
+        """The key segments, then the live tail as one more dense part."""
+        return self.key_segments + [self.key_tail[: self.tail_len]]
+
+    def value_parts(self) -> list:
+        """The value segments, then the live tail as one more dense part."""
+        return self.value_segments + [self.value_tail[: self.tail_len]]
 
     def ledger_bytes(self):
-        actual = 0
-        for seg in self.key_segments + self.value_segments:
-            actual += self._segment_bytes(seg)
-        actual += 2 * self.tail_len * self.config.dim * 2
+        actual = sum(map(_stored_bytes, self.key_parts() + self.value_parts()))
         fp16 = 2 * self.tokens * self.config.dim * 2  # K and V at 2 bytes/value
         return fp16, actual
 
@@ -160,30 +177,25 @@ class KvCache:
     def append_token(self, layer: int, k_row, v_row):
         self._layer(layer).append(k_row, v_row)
 
-    def _read(self, layer: int, segments, tail, tail_len) -> np.ndarray:
-        lc = self._layer(layer)
-        parts = []
-        for seg in segments:
-            if isinstance(seg, QuantizedMpo):
-                parts.append(deco_dequantize(seg))
-                self.bytes_moved_read += lc._segment_bytes(seg)
-            else:
-                parts.append(seg)
-                self.bytes_moved_read += seg.size * 2
-        if tail_len:
-            parts.append(tail[:tail_len])
-            self.bytes_moved_read += tail_len * self.config.dim * 2
-        if not parts:
-            return np.zeros((0, self.config.dim), dtype=np.float32)
-        return np.concatenate(parts, axis=0)
+    def _count_read(self, parts: list) -> list:
+        """Count the stored bytes of every part as read traffic."""
+        self.bytes_moved_read += sum(map(_stored_bytes, parts))
+        return parts
+
+    def _read(self, parts: list) -> np.ndarray:
+        return np.concatenate(
+            [
+                deco_dequantize(p) if isinstance(p, QuantizedMpo) else p
+                for p in self._count_read(parts)
+            ],
+            axis=0,
+        )
 
     def read_keys(self, layer: int) -> np.ndarray:
-        lc = self._layer(layer)
-        return self._read(layer, lc.key_segments, lc.key_tail, lc.tail_len)
+        return self._read(self._layer(layer).key_parts())
 
     def read_values(self, layer: int) -> np.ndarray:
-        lc = self._layer(layer)
-        return self._read(layer, lc.value_segments, lc.value_tail, lc.tail_len)
+        return self._read(self._layer(layer).value_parts())
 
     def attention_scores(self, layer: int, q_row: np.ndarray) -> np.ndarray:
         """q @ K^T / sqrt(D), streaming quantized segments (1 x T)."""
@@ -191,29 +203,16 @@ class KvCache:
         q_row = np.asarray(q_row, dtype=np.float32).reshape(1, -1)
         if q_row.shape[1] != self.config.dim:
             raise DimMismatch(f"query width {q_row.shape[1]} != {self.config.dim}")
-        parts = []
-        for seg in lc.key_segments:
-            if isinstance(seg, QuantizedMpo):
-                parts.append(fused_matmul_t(q_row, seg))
-                self.bytes_moved_read += lc._segment_bytes(seg)
-            else:
-                parts.append(
-                    (q_row.astype(np.float64) @ seg.astype(np.float64).T).astype(
-                        np.float32
-                    )
-                )
-                self.bytes_moved_read += seg.size * 2
-        if lc.tail_len:
-            tail = lc.key_tail[: lc.tail_len]
-            parts.append(
-                (q_row.astype(np.float64) @ tail.astype(np.float64).T).astype(
-                    np.float32
-                )
-            )
-            self.bytes_moved_read += lc.tail_len * self.config.dim * 2
-        if not parts:
-            return np.zeros((1, 0), dtype=np.float32)
-        scores = np.concatenate(parts, axis=1)
+        q64 = q_row.astype(np.float64)
+        scores = np.concatenate(
+            [
+                fused_matmul_t(q_row, p)
+                if isinstance(p, QuantizedMpo)
+                else (q64 @ p.astype(np.float64).T).astype(np.float32)
+                for p in self._count_read(lc.key_parts())
+            ],
+            axis=1,
+        )
         return (scores / np.float32(np.sqrt(self.config.dim))).astype(np.float32)
 
     def ledger(self) -> MemoryLedger:
@@ -226,9 +225,16 @@ class KvCache:
 
 
 def _check_invariants(cache: KvCache, expected_tokens: int):
+    """Raise InvariantViolated (also under python -O) if the cache lost count."""
     for lc in cache.layers:
-        assert lc.tokens == expected_tokens, "token conservation violated"
-        assert 0 <= lc.tail_len < cache.config.chunk_len, "tail exceeded chunk_len"
+        if lc.tokens != expected_tokens:
+            raise InvariantViolated(
+                f"token conservation violated: {lc.tokens} != {expected_tokens}"
+            )
+        if not 0 <= lc.tail_len < cache.config.chunk_len:
+            raise InvariantViolated(
+                f"tail length {lc.tail_len} outside [0, {cache.config.chunk_len})"
+            )
 
 
 def simulate_generation(
@@ -247,7 +253,7 @@ def simulate_generation(
     across layers) is recorded.
 
     Returns (final MemoryLedger, list of per-step trace dicts). Token
-    conservation and the tail-length bound are asserted every step.
+    conservation and the tail-length bound are checked every step.
     """
     if prompt_len < 0 or gen_len < 0:
         raise ShapeMismatch("lengths must be >= 0")

@@ -18,6 +18,7 @@ from math import prod
 import numpy as np
 
 from .errors import BondMismatch, ShapeMismatch
+from .tensor import _require_finite
 
 FACTOR_CAP = 8
 
@@ -151,13 +152,18 @@ def _interleave(t, i_factors, j_factors):
 
 
 def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
-    """Full-rank tensor-train split of a matrix under the given plan."""
+    """Full-rank tensor-train split of a matrix under the given plan.
+
+    Raises NonFiniteInput on a NaN or infinite entry, which the SVD cannot
+    split (it raises on NaN and can spin without returning on inf).
+    """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape != (plan.rows, plan.cols):
         raise ShapeMismatch(
             f"matrix shape {m.shape} does not match plan "
             f"({plan.rows}, {plan.cols})"
         )
+    _require_finite(m, "decompose")
     n = plan.n
     carry = _interleave(
         np.asarray(m, dtype=np.float64), plan.i_factors, plan.j_factors

@@ -45,8 +45,8 @@ class QuantizedTensor:
     def __post_init__(self):
         _check_bits(self.bits)
         object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
-        if self.scale <= 0:
-            raise CorruptPayload(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise CorruptPayload(f"scale must be positive and finite, got {self.scale}")
         expected = payload_size(self.count, self.bits)
         if len(self.payload) != expected:
             raise CorruptPayload(

@@ -1,11 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from dquant import compression_report, deco_quantize, synth_activations
 from dquant.cli import main
-from dquant.formats import read_tensor, write_tensor
+from dquant.formats import read_tensor, write_mpo, write_tensor
 
 
 def run(capsys, *argv):
@@ -68,11 +69,72 @@ def test_quantize_truncated_input(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_quantize_non_finite_input(tmp_path, capsys, bad):
+    m = np.ones((64, 64), np.float32)
+    m[3, 9] = bad
+    src = write_matrix(tmp_path / "m.dqt", m)
+    out = str(tmp_path / "m.dqz")
+    code, _, err = run(capsys, "quantize", "--input", src, "--bits", "4", "--out", out)
+    assert code == 3
+    assert "finite" in err
+
+
 def test_dequantize_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.dqz"
     bad.write_bytes(b"DQZ1\x01")
     code, _, _ = run(capsys, "dequantize", "--input", str(bad), "--out", "x")
     assert code == 2
+
+
+def test_quantize_dims_beyond_the_file(tmp_path, capsys):
+    src = tmp_path / "huge.dqt"
+    src.write_bytes(b"DQT1" + bytes([0, 2]) + struct.pack("<QQ", 1 << 40, 1 << 40))
+    code, _, err = run(capsys, "quantize", "--input", str(src), "--bits", "4", "--out", "x")
+    assert code == 2
+    assert "truncated" in err
+
+
+def write_dqz_patched(tmp_path, offset_of, value):
+    """A DQZ1 file of a 16x16 matrix at 4 bits with bytes patched at one offset.
+
+    offset_of maps the first core's element count to the offset to patch.
+    """
+    q = deco_quantize(np.random.default_rng(4).standard_normal((16, 16)), 4)
+    path = tmp_path / "m.dqz"
+    write_mpo(path, q)
+    data = bytearray(path.read_bytes())
+    offset = offset_of(q.local_tensors[0].size)
+    data[offset : offset + len(value)] = value
+    path.write_bytes(bytes(data))
+    return str(path)
+
+
+HEADER_N2 = 4 + 2 + 8 * 2 * 2  # magic, version and n, both factor lists
+CORE_HEAD = 2 + 8 * 4  # dtype, ndim and four dims
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+def test_dequantize_non_finite_scale(tmp_path, capsys, scale):
+    # bits byte, two flags, the fp first core, then the packed core's bits byte
+    src = write_dqz_patched(
+        tmp_path,
+        lambda n0: HEADER_N2 + 1 + 2 + CORE_HEAD + 4 * n0 + CORE_HEAD + 1,
+        struct.pack("<f", scale),
+    )
+    out = tmp_path / "back.dqt"
+    code, _, err = run(capsys, "dequantize", "--input", src, "--out", str(out))
+    assert code == 2
+    assert "scale" in err
+    assert not out.exists()
+
+
+def test_dequantize_bits_byte_disagrees(tmp_path, capsys):
+    src = write_dqz_patched(tmp_path, lambda n0: HEADER_N2, bytes([8]))
+    out = tmp_path / "back.dqt"
+    code, _, err = run(capsys, "dequantize", "--input", src, "--out", str(out))
+    assert code == 2
+    assert "header says 8" in err
 
 
 def test_analyze_outliers(tmp_path, capsys):

@@ -114,3 +114,12 @@ def test_flag_payload_mismatch(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(MalformedFile):
         read_mpo(path)
+
+
+def test_dims_beyond_the_file(tmp_path):
+    # 2**80 float32 values: the count is bounded by the bytes left, not read
+    path = tmp_path / "huge.dqt"
+    path.write_bytes(b"DQT1" + bytes([0, 2]) + struct.pack("<QQ", 1 << 40, 1 << 40))
+    with pytest.raises(MalformedFile):
+        read_tensor(path)
+

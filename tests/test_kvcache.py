@@ -1,9 +1,19 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import dquant
 from dquant import CacheConfig, KvCache, simulate_generation
-from dquant.errors import AlreadyPrefilled, DimMismatch, LayerOutOfRange
-from dquant.kvcache import TRACE_COLUMNS, write_trace_csv
+from dquant.errors import (
+    AlreadyPrefilled,
+    DimMismatch,
+    InvariantViolated,
+    LayerOutOfRange,
+)
+from dquant.kvcache import TRACE_COLUMNS, _check_invariants, write_trace_csv
 
 
 def kv(rows, dim, seed=0):
@@ -196,3 +206,41 @@ class TestSimulate:
         write_trace_csv(trace, path)
         header = path.read_text().splitlines()[0]
         assert header == ",".join(TRACE_COLUMNS)
+
+
+class TestInvariants:
+    def test_wrong_token_count_raises(self):
+        cache = KvCache(CacheConfig(layers=2, dim=8, bits=4, chunk_len=4))
+        for layer in range(2):
+            cache.prefill(layer, *kv(6, 8, layer))
+        _check_invariants(cache, 6)
+        with pytest.raises(InvariantViolated):
+            _check_invariants(cache, 7)
+
+    def test_tail_at_chunk_len_raises(self):
+        cache = KvCache(CacheConfig(layers=1, dim=8, bits=None, chunk_len=4))
+        cache.layers[0].tail_len = 4
+        with pytest.raises(InvariantViolated):
+            _check_invariants(cache, 4)
+
+    def test_checked_under_python_o(self):
+        script = (
+            "import sys\n"
+            "from dquant.errors import InvariantViolated\n"
+            "from dquant.kvcache import CacheConfig, KvCache, _check_invariants\n"
+            "cache = KvCache(CacheConfig(layers=1, dim=8, bits=None))\n"
+            "try:\n"
+            "    _check_invariants(cache, 1)\n"
+            "except InvariantViolated:\n"
+            "    sys.exit(0 if sys.flags.optimize else 5)\n"
+            "sys.exit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(dquant.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode()

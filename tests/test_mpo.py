@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dquant import MpoChain, ShapePlan, decompose, plan_shapes, reconstruct, split_large_small
-from dquant.errors import BondMismatch, ShapeMismatch
+from dquant import deco_quantize
+from dquant.errors import BondMismatch, NonFiniteInput, ShapeMismatch
 
 
 def rand(shape, seed=0):
@@ -91,6 +92,15 @@ class TestDecompose:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             decompose(rand((8, 8)), ShapePlan((2, 2), (2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        m = rand((64, 64), 3)
+        m[5, 17] = bad
+        with pytest.raises(NonFiniteInput):
+            decompose(m, plan_shapes(64, 64, 2))
+        with pytest.raises(NonFiniteInput):
+            deco_quantize(m, 4)
 
     def test_parameter_accounting_default_plan(self):
         # shapes only; the 4096 case is pure arithmetic on the plan

@@ -106,6 +106,11 @@ class TestDequantize:
         with pytest.raises(CorruptPayload):
             QuantizedTensor(shape=(2, 2), bits=4, scale=1.0, payload=b"\x00")
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_non_finite_scale(self, scale):
+        with pytest.raises(CorruptPayload):
+            QuantizedTensor(shape=(2,), bits=4, scale=scale, payload=b"\x00")
+
 
 class TestPacking:
     def test_layout_4bit(self):
