@@ -34,12 +34,11 @@ from .compress import (
 from .kvcache import CacheConfig, KvCache, MemoryLedger, simulate_generation
 from .mpo import MpoChain, ShapePlan, decompose, plan_shapes, reconstruct, split_large_small
 from .quantize import QuantizedTensor, dequantize, pack, quantize_rtn, unpack
-from .tensor import DenseTensor, QrResult, SvdResult, matmul, permute, qr, reshape, svd
+from .tensor import QrResult, SvdResult, qr, svd
 
 __all__ = [
     "CacheConfig",
     "CompressionReport",
-    "DenseTensor",
     "ErrorRecord",
     "KvCache",
     "MemoryLedger",
@@ -62,15 +61,12 @@ __all__ = [
     "fused_matmul_t",
     "iqr_stats",
     "length_sweep",
-    "matmul",
     "migration_report",
     "pack",
-    "permute",
     "plan_shapes",
     "qr",
     "quantize_rtn",
     "reconstruct",
-    "reshape",
     "simulate_generation",
     "split_large_small",
     "strategy_sweep",

@@ -8,12 +8,11 @@ medians only.
 
 import csv
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
 from . import mpo, tensor
-from .compress import factorize
+from .compress import QuantizedMpo, deco_dequantize, factorize
 from .errors import EmptyInput, ShapeMismatch
 from .quantize import dequantize, quantize_rtn
 
@@ -189,13 +188,12 @@ def _errors(original, reconstructed):
 
 
 def _quantize_cores(chain: mpo.MpoChain, bits: int, skip_first: bool) -> np.ndarray:
-    cores = []
-    for k, core in enumerate(chain.local_tensors):
-        if k == 0 and skip_first:
-            cores.append(core)
-        else:
-            cores.append(dequantize(quantize_rtn(core, bits)))
-    return mpo.reconstruct(mpo.MpoChain(tuple(cores)))
+    """Pack every core (all but the first if skip_first) and rebuild the matrix."""
+    cores = tuple(
+        t if k == 0 and skip_first else quantize_rtn(t, bits)
+        for k, t in enumerate(chain.local_tensors)
+    )
+    return deco_dequantize(QuantizedMpo(chain.plan(), bits, cores))
 
 
 def _chain_overhead(chain: mpo.MpoChain) -> float:
@@ -240,29 +238,26 @@ def length_sweep(suite, n_list=(2, 3, 4), bits=4):
     return sorted(records, key=lambda r: (r.seed, r.n, r.bits))
 
 
+def _quantize_larger(m, a, b, bits):
+    """a @ b with the larger factor quantized (b on a tie) and the overhead."""
+    if a.size > b.size:
+        a = dequantize(quantize_rtn(a.astype(np.float32), bits)).astype(np.float64)
+    else:
+        b = dequantize(quantize_rtn(b.astype(np.float32), bits)).astype(np.float64)
+    return a @ b, (a.size + b.size) / m.size
+
+
 def _svd_protocol(m, bits):
     u, s, vt = tensor.svd(m)
     root = np.sqrt(s.astype(np.float64))
     a = u.astype(np.float64) * root
     b = root[:, None] * vt.astype(np.float64)
-    # quantize the larger factor, tie toward the second (mirrors the chain rule)
-    if a.size > b.size:
-        rec = dequantize(quantize_rtn(a.astype(np.float32), bits)).astype(np.float64) @ b
-    else:
-        rec = a @ dequantize(quantize_rtn(b.astype(np.float32), bits)).astype(np.float64)
-    overhead = (a.size + b.size) / m.size
-    return rec, overhead
+    return _quantize_larger(m, a, b, bits)
 
 
 def _qr_protocol(m, bits):
     q, r = tensor.qr(m)
-    q64, r64 = q.astype(np.float64), r.astype(np.float64)
-    if q.size > r.size:
-        rec = dequantize(quantize_rtn(q, bits)).astype(np.float64) @ r64
-    else:
-        rec = q64 @ dequantize(quantize_rtn(r, bits)).astype(np.float64)
-    overhead = (q.size + r.size) / m.size
-    return rec, overhead
+    return _quantize_larger(m, q.astype(np.float64), r.astype(np.float64), bits)
 
 
 def decomposition_comparison(suite, bits=4):

@@ -1,9 +1,14 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 malformed input (or usage error), 3 invalid
-parameters, 4 unknown subcommand or experiment. Machine-readable
-summaries go to stdout as single JSON lines; human-readable tables go to
-stderr under --verbose.
+Exit codes: 0 success; 2 malformed input or usage error (MalformedFile,
+or any OSError, such as a missing input or an --out / --csv in a missing
+directory); 3 invalid parameters (any other DquantError); 4 unknown
+subcommand or experiment. `main` is the only owner of the map from a
+raised failure to its code, reported as one `error:` line on stderr;
+subcommands return a code themselves only from the cheap parameter checks
+they make before an expensive read or compute. Machine-readable summaries
+go to stdout as single JSON lines; human-readable tables go to stderr
+under --verbose.
 """
 
 import argparse
@@ -14,7 +19,7 @@ import numpy as np
 
 from . import analysis, formats, kvcache
 from .compress import compression_report, deco_dequantize, deco_quantize
-from .errors import DquantError, MalformedFile, ShapeMismatch, UnsupportedBits
+from .errors import DquantError, MalformedFile
 from .quantize import SUPPORTED_BITS
 
 EXIT_OK = 0
@@ -46,11 +51,7 @@ def cmd_quantize(args):
         return _fail(EXIT_BAD_PARAMS, f"unsupported bits {args.bits}")
     if args.n < 2:
         return _fail(EXIT_BAD_PARAMS, "decomposition length must be >= 2")
-    try:
-        m = _read_float_matrix(args.input)
-    except (MalformedFile, OSError) as exc:
-        return _fail(EXIT_MALFORMED, str(exc))
-    q = deco_quantize(m, args.bits, args.n)
+    q = deco_quantize(_read_float_matrix(args.input), args.bits, args.n)
     formats.write_mpo(args.out, q)
     report = compression_report(q)
     _emit(
@@ -66,19 +67,12 @@ def cmd_quantize(args):
 
 
 def cmd_dequantize(args):
-    try:
-        q = formats.read_mpo(args.input)
-    except (MalformedFile, OSError) as exc:
-        return _fail(EXIT_MALFORMED, str(exc))
-    formats.write_tensor(args.out, deco_dequantize(q))
+    formats.write_tensor(args.out, deco_dequantize(formats.read_mpo(args.input)))
     return EXIT_OK
 
 
 def cmd_analyze_outliers(args):
-    try:
-        m = _read_float_matrix(args.input)
-    except (MalformedFile, OSError) as exc:
-        return _fail(EXIT_MALFORMED, str(exc))
+    m = _read_float_matrix(args.input)
     if args.n != 2:
         return _fail(EXIT_BAD_PARAMS, "outlier analysis is defined for n=2")
     mat, large, small = analysis.migration_report(m)
@@ -136,19 +130,13 @@ def cmd_bench(args):
 
 
 def cmd_kv_sim(args):
-    bits = None if args.bits == 16 else args.bits
-    try:
-        config = kvcache.CacheConfig(
-            layers=args.layers,
-            dim=args.dim,
-            bits=bits,
-            chunk_len=args.chunk,
-            n=args.n,
-        )
-        if args.prompt_len < 0 or args.gen_len < 0:
-            raise ShapeMismatch("lengths must be >= 0")
-    except (ShapeMismatch, UnsupportedBits) as exc:
-        return _fail(EXIT_BAD_PARAMS, str(exc))
+    config = kvcache.CacheConfig(
+        layers=args.layers,
+        dim=args.dim,
+        bits=None if args.bits == 16 else args.bits,
+        chunk_len=args.chunk,
+        n=args.n,
+    )
     ledger, trace = kvcache.simulate_generation(
         config, args.prompt_len, args.gen_len, seed=args.seed, audit=args.audit
     )
@@ -174,14 +162,10 @@ def cmd_kv_sim(args):
 def cmd_import_raw(args):
     if args.rows < 1 or args.cols < 1:
         return _fail(EXIT_BAD_PARAMS, "rows and cols must be >= 1")
-    try:
-        raw = np.fromfile(args.input, dtype="<f4")
-    except OSError as exc:
-        return _fail(EXIT_MALFORMED, str(exc))
+    raw = np.fromfile(args.input, dtype="<f4")
     if raw.size != args.rows * args.cols:
-        return _fail(
-            EXIT_MALFORMED,
-            f"file holds {raw.size} float32 values, expected {args.rows * args.cols}",
+        raise MalformedFile(
+            f"file holds {raw.size} float32 values, expected {args.rows * args.cols}"
         )
     formats.write_tensor(args.out, raw.reshape(args.rows, args.cols))
     return EXIT_OK
@@ -257,7 +241,7 @@ def main(argv=None) -> int:
         return EXIT_MALFORMED if exc.code else EXIT_OK
     try:
         return handler(args)
-    except (MalformedFile,) as exc:
+    except (MalformedFile, OSError) as exc:
         return _fail(EXIT_MALFORMED, str(exc))
     except DquantError as exc:
         return _fail(EXIT_BAD_PARAMS, str(exc))

@@ -54,7 +54,7 @@ class WorkingSetMeter:
 
 @dataclass(frozen=True)
 class QuantizedMpo:
-    """A core chain where all cores but the first are bit-packed."""
+    """A core chain; deco_quantize packs all cores but the first, reads take any mix."""
 
     plan: mpo.ShapePlan
     bits: int
@@ -65,6 +65,8 @@ class QuantizedMpo:
         if len(shapes) != self.plan.n:
             raise ShapeMismatch("chain length disagrees with plan")
         for k, s in enumerate(shapes):
+            if len(s) != 4:
+                raise ShapeMismatch(f"core {k} has shape {s}, expected 4 axes")
             expected = (
                 1 if k == 0 else shapes[k - 1][3],
                 self.plan.i_factors[k],
@@ -193,7 +195,7 @@ def fused_matmul(x: np.ndarray, q: QuantizedMpo, meter: WorkingSetMeter = None):
 
     Sweeps the chain left to right: the full-precision first core is
     applied directly, each packed core through the tiled GEMM. Matches
-    matmul(x, deco_dequantize(q)) within 1e-4 relative Frobenius.
+    x @ deco_dequantize(q) within 1e-4 relative Frobenius.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != q.rows:

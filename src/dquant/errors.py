@@ -9,14 +9,6 @@ class ShapeMismatch(DquantError, ValueError):
     """Operand shapes are incompatible."""
 
 
-class SizeMismatch(DquantError, ValueError):
-    """Reshape target does not preserve the element count."""
-
-
-class InvalidPermutation(DquantError, ValueError):
-    """Axes argument is not a permutation of the tensor dimensions."""
-
-
 class NoConvergence(DquantError, ArithmeticError):
     """Iterative factorization failed to converge (pathological input)."""
 

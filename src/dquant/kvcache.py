@@ -11,8 +11,9 @@ attention_scores streams quantized segments through the fused multiply,
 so it makes no full-precision copy of a segment; read_keys and
 read_values rebuild each segment in full with deco_dequantize.
 
-In full-precision mode (bits=None) segments are stored as plain arrays
-and every read is bit-exact.
+In full-precision mode (bits=None) each segment is a float32 copy of its
+rows, never a view of the tail buffer or of the caller's prefill arrays,
+so every read is bit-exact.
 
 All byte accounting is against a 16-bit baseline: full-precision values
 (stored as float32 in memory) are counted at 2 bytes, packed payloads at
@@ -20,7 +21,7 @@ their true size, one 2-byte scale per quantized core.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
@@ -110,7 +111,7 @@ class LayerCache:
 
     def _compress(self, block: np.ndarray):
         if self.config.bits is None:
-            return np.ascontiguousarray(block, dtype=np.float32)
+            return np.array(block, dtype=np.float32, order="C")
         return deco_quantize(block, self.config.bits, self.config.n)
 
     def prefill(self, keys: np.ndarray, values: np.ndarray):

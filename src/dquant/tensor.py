@@ -1,30 +1,14 @@
-"""Dense float32 tensors and the linear-algebra primitives built on them.
+"""Thin SVD and QR of dense float32 matrices.
 
-Tensors are plain C-contiguous float32 numpy arrays. All accumulation
-happens in float64; results are stored back as float32.
+Inputs are plain float32 numpy arrays. Factorizations run in float64;
+results are stored back as float32.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvalidPermutation,
-    NoConvergence,
-    NonFiniteInput,
-    ShapeMismatch,
-    SizeMismatch,
-)
-
-DenseTensor = np.ndarray
-
-
-def as_tensor(data, shape=None) -> np.ndarray:
-    """Coerce nested data to a C-contiguous float32 array."""
-    t = np.ascontiguousarray(data, dtype=np.float32)
-    if shape is not None:
-        t = reshape(t, shape)
-    return t
+from .errors import NoConvergence, NonFiniteInput, ShapeMismatch
 
 
 class SvdResult(NamedTuple):
@@ -46,32 +30,6 @@ def _require_2d(m, op):
 def _require_finite(m, op):
     if m.size and not np.all(np.isfinite(m)):
         raise NonFiniteInput(f"{op} requires finite entries")
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with float64 accumulation, stored as float32."""
-    _require_2d(a, "matmul")
-    _require_2d(b, "matmul")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"inner dimensions differ: {a.shape} x {b.shape}")
-    out = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-    return out.astype(np.float32)
-
-
-def reshape(t: np.ndarray, new_shape) -> np.ndarray:
-    """Reinterpret the row-major buffer under a new shape."""
-    new_shape = tuple(int(d) for d in new_shape)
-    if int(np.prod(new_shape, dtype=np.int64)) != t.size:
-        raise SizeMismatch(f"cannot reshape {t.shape} (size {t.size}) to {new_shape}")
-    return np.ascontiguousarray(t).reshape(new_shape)
-
-
-def permute(t: np.ndarray, axes) -> np.ndarray:
-    """Reorder axes and materialize the result in row-major order."""
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(t.ndim)):
-        raise InvalidPermutation(f"{axes} is not a permutation of 0..{t.ndim - 1}")
-    return np.ascontiguousarray(np.transpose(t, axes))
 
 
 def svd(m: np.ndarray) -> SvdResult:

@@ -137,6 +137,23 @@ def test_dequantize_bits_byte_disagrees(tmp_path, capsys):
     assert "header says 8" in err
 
 
+def test_dequantize_core_not_4d(tmp_path, capsys):
+    # the packed core (2, 16, 8, 1) of the 16x16 chain, stored as (2, 16, 8)
+    q = deco_quantize(np.random.default_rng(4).standard_normal((16, 16)), 4)
+    assert q.local_tensors[1].shape == (2, 16, 8, 1)
+    path = tmp_path / "m.dqz"
+    write_mpo(path, q)
+    data = path.read_bytes()
+    offset = HEADER_N2 + 1 + 2 + CORE_HEAD + 4 * q.local_tensors[0].size
+    head = struct.pack("<BB3Q", 1, 3, 2, 16, 8)
+    path.write_bytes(data[:offset] + head + data[offset + CORE_HEAD :])
+    out = tmp_path / "back.dqt"
+    code, _, err = run(capsys, "dequantize", "--input", str(path), "--out", str(out))
+    assert code == 2
+    assert "4 axes" in err
+    assert not out.exists()
+
+
 def test_analyze_outliers(tmp_path, capsys):
     m = synth_activations(256, 256, 8, 20.0, seed=2)
     src = write_matrix(tmp_path / "m.dqt", m)
@@ -246,6 +263,19 @@ def test_kv_sim_invalid_config(tmp_path, capsys):
     assert code == 3
 
 
+def test_kv_sim_negative_length(tmp_path, capsys):
+    csv_path = tmp_path / "t.csv"
+    code, _, err = run(
+        capsys,
+        "kv-sim",
+        "--layers", "1", "--dim", "8", "--prompt-len", "-1", "--gen-len", "0",
+        "--csv", str(csv_path),
+    )
+    assert code == 3
+    assert "lengths" in err
+    assert not csv_path.exists()
+
+
 def test_import_raw(tmp_path, capsys):
     raw = tmp_path / "dump.bin"
     data = np.arange(12, dtype="<f4")
@@ -268,3 +298,33 @@ def test_import_raw(tmp_path, capsys):
 def test_missing_required_flag(capsys):
     code, _, _ = run(capsys, "quantize", "--bits", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["quantize", "dequantize", "analyze-outliers", "bench", "kv-sim", "import-raw"],
+)
+def test_output_in_missing_directory(tmp_path, capsys, name):
+    m = np.random.default_rng(5).standard_normal((16, 16)).astype(np.float32)
+    dqt = write_matrix(tmp_path / "m.dqt", m)
+    dqz = tmp_path / "m.dqz"
+    write_mpo(dqz, deco_quantize(m, 4))
+    raw = tmp_path / "m.bin"
+    raw.write_bytes(m.astype("<f4").tobytes())
+    out = str(tmp_path / "missing" / "out")
+    argv = {
+        "quantize": ["--input", dqt, "--bits", "4", "--out", out],
+        "dequantize": ["--input", str(dqz), "--out", out],
+        "analyze-outliers": ["--input", dqt, "--csv", out],
+        "bench": ["--experiment", "strategies", "--bits", "4", "--seeds", "1",
+                  "--csv", out],
+        "kv-sim": ["--layers", "1", "--dim", "8", "--prompt-len", "4",
+                   "--gen-len", "2", "--csv", out],
+        "import-raw": ["--input", str(raw), "--rows", "16", "--cols", "16",
+                       "--out", out],
+    }[name]
+    code, stdout, err = run(capsys, name, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()

@@ -49,6 +49,16 @@ class TestPrefill:
         np.testing.assert_array_equal(cache.read_values(0), v)
         assert cache.ledger().ratio == 1.0
 
+    def test_full_precision_prefill_is_a_copy(self):
+        cache = KvCache(CacheConfig(layers=1, dim=16, bits=None))
+        k, v = kv(12, 16, 2)
+        cache.prefill(0, k, v)
+        expected_k, expected_v = k.copy(), v.copy()
+        k[:] = 0
+        v[:] = 0
+        np.testing.assert_array_equal(cache.read_keys(0), expected_k)
+        np.testing.assert_array_equal(cache.read_values(0), expected_v)
+
     def test_already_prefilled(self):
         cache = KvCache(CacheConfig(layers=1, dim=8, bits=4))
         k, v = kv(4, 8)
@@ -92,6 +102,15 @@ class TestAppend:
         for _ in range(4 * 1024):
             cache.append_token(0, rng.standard_normal(256), rng.standard_normal(256))
         assert 0.24 <= cache.ledger().ratio <= 0.30
+
+    def test_full_precision_segments_keep_their_rows(self):
+        cache = KvCache(CacheConfig(layers=1, dim=8, bits=None, chunk_len=4))
+        k, v = kv(10, 8, 3)
+        for k_row, v_row in zip(k, v):
+            cache.append_token(0, k_row, v_row)
+        assert len(cache.layers[0].key_segments) == 2
+        np.testing.assert_array_equal(cache.read_keys(0), k)
+        np.testing.assert_array_equal(cache.read_values(0), v)
 
     def test_dim_mismatch(self):
         cache = KvCache(CacheConfig(layers=1, dim=8, bits=4))
@@ -188,6 +207,13 @@ class TestSimulate:
         _, trace = simulate_generation(cfg, 64, 40, seed=2, audit=True)
         devs = [r["score_deviation"] for r in trace if r["score_deviation"] is not None]
         assert devs and float(np.median(devs)) < 1e-2
+
+    def test_audit_deviation_small_after_many_chunks(self):
+        # the full-precision shadow cache seals a segment every 16 steps
+        cfg = CacheConfig(layers=1, dim=32, bits=8, chunk_len=16)
+        _, trace = simulate_generation(cfg, 16, 100, seed=2, audit=True)
+        devs = [r["score_deviation"] for r in trace if r["score_deviation"] is not None]
+        assert float(np.median(devs)) < 1e-2
 
     def test_trace_deterministic(self, tmp_path):
         cfg = CacheConfig(layers=1, dim=32, bits=4, chunk_len=16)
