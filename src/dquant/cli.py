@@ -27,6 +27,8 @@ EXIT_MALFORMED = 2
 EXIT_BAD_PARAMS = 3
 EXIT_UNKNOWN = 4
 
+EXPERIMENTS = ("strategies", "lengths", "decompositions")
+
 
 def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -72,10 +74,9 @@ def cmd_dequantize(args):
 
 
 def cmd_analyze_outliers(args):
-    m = _read_float_matrix(args.input)
     if args.n != 2:
         return _fail(EXIT_BAD_PARAMS, "outlier analysis is defined for n=2")
-    mat, large, small = analysis.migration_report(m)
+    mat, large, small = analysis.migration_report(_read_float_matrix(args.input))
     rows = [("matrix", mat), ("t_large", large), ("t_small", small)]
     analysis.write_outliers_csv(rows, args.csv)
     _emit(
@@ -98,6 +99,8 @@ def cmd_bench(args):
         return _fail(EXIT_BAD_PARAMS, f"bits must be from {SUPPORTED_BITS}")
     if args.seeds < 1:
         return _fail(EXIT_BAD_PARAMS, "seeds must be >= 1")
+    if args.experiment not in EXPERIMENTS:
+        return _fail(EXIT_UNKNOWN, f"unknown experiment {args.experiment!r}")
     suite = analysis.default_suite(seeds=range(args.seeds))
     if args.experiment == "strategies":
         records = analysis.strategy_sweep(suite, bits_list)
@@ -107,13 +110,11 @@ def cmd_bench(args):
         for b in bits_list:
             records += analysis.length_sweep(suite, bits=b)
         medians = analysis.median_by(records, key=lambda r: (r.method, r.bits, r.n))
-    elif args.experiment == "decompositions":
+    else:
         records = []
         for b in bits_list:
             records += analysis.decomposition_comparison(suite, bits=b)
         medians = analysis.median_by(records)
-    else:
-        return _fail(EXIT_UNKNOWN, f"unknown experiment {args.experiment!r}")
     analysis.write_errors_csv(records, args.csv)
     _emit(
         {

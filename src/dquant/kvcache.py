@@ -6,7 +6,8 @@ tail reaches `chunk_len` rows it is compressed into a new immutable
 segment and the tail resets.
 
 Every read walks the same parts, the segments and then the live tail as
-one more dense part, and counts each part's stored bytes as read traffic.
+one more dense part, and counts each part's stored bytes as read traffic;
+a segment's byte count is fixed once, when it is sealed or prefilled.
 attention_scores streams quantized segments through the fused multiply,
 so it makes no full-precision copy of a segment; read_keys and
 read_values rebuild each segment in full with deco_dequantize.
@@ -99,6 +100,8 @@ class LayerCache:
         self.config = config
         self.key_segments = []  # QuantizedMpo (or ndarray in fp mode)
         self.value_segments = []
+        self.key_segment_bytes = []  # stored bytes of each segment, counted once
+        self.value_segment_bytes = []
         self._seg_rows = []  # token rows per segment
         d = config.dim
         self.key_tail = np.zeros((config.chunk_len, d), dtype=np.float32)
@@ -114,6 +117,15 @@ class LayerCache:
             return np.array(block, dtype=np.float32, order="C")
         return deco_quantize(block, self.config.bits, self.config.n)
 
+    def _seal(self, keys: np.ndarray, values: np.ndarray):
+        """Compress a block of rows into a new segment; count its bytes once."""
+        k, v = self._compress(keys), self._compress(values)
+        self.key_segments.append(k)
+        self.value_segments.append(v)
+        self.key_segment_bytes.append(_stored_bytes(k))
+        self.value_segment_bytes.append(_stored_bytes(v))
+        self._seg_rows.append(keys.shape[0])
+
     def prefill(self, keys: np.ndarray, values: np.ndarray):
         if self.tokens:
             raise AlreadyPrefilled("layer already holds tokens")
@@ -127,9 +139,7 @@ class LayerCache:
             )
         if keys.shape[0] == 0:
             return
-        self.key_segments.append(self._compress(keys))
-        self.value_segments.append(self._compress(values))
-        self._seg_rows.append(keys.shape[0])
+        self._seal(keys, values)
 
     def append(self, k_row: np.ndarray, v_row: np.ndarray):
         k_row = np.asarray(k_row, dtype=np.float32).reshape(-1)
@@ -140,9 +150,7 @@ class LayerCache:
         self.value_tail[self.tail_len] = v_row
         self.tail_len += 1
         if self.tail_len == self.config.chunk_len:
-            self.key_segments.append(self._compress(self.key_tail))
-            self.value_segments.append(self._compress(self.value_tail))
-            self._seg_rows.append(self.config.chunk_len)
+            self._seal(self.key_tail, self.value_tail)
             self.tail_len = 0
 
     def key_parts(self) -> list:
@@ -153,8 +161,20 @@ class LayerCache:
         """The value segments, then the live tail as one more dense part."""
         return self.value_segments + [self.value_tail[: self.tail_len]]
 
+    def key_bytes(self) -> int:
+        """Stored bytes of key_parts()."""
+        return sum(self.key_segment_bytes) + _stored_bytes(
+            self.key_tail[: self.tail_len]
+        )
+
+    def value_bytes(self) -> int:
+        """Stored bytes of value_parts()."""
+        return sum(self.value_segment_bytes) + _stored_bytes(
+            self.value_tail[: self.tail_len]
+        )
+
     def ledger_bytes(self):
-        actual = sum(map(_stored_bytes, self.key_parts() + self.value_parts()))
+        actual = self.key_bytes() + self.value_bytes()
         fp16 = 2 * self.tokens * self.config.dim * 2  # K and V at 2 bytes/value
         return fp16, actual
 
@@ -178,25 +198,20 @@ class KvCache:
     def append_token(self, layer: int, k_row, v_row):
         self._layer(layer).append(k_row, v_row)
 
-    def _count_read(self, parts: list) -> list:
-        """Count the stored bytes of every part as read traffic."""
-        self.bytes_moved_read += sum(map(_stored_bytes, parts))
-        return parts
-
-    def _read(self, parts: list) -> np.ndarray:
+    def _read(self, parts: list, stored_bytes: int) -> np.ndarray:
+        self.bytes_moved_read += stored_bytes
         return np.concatenate(
-            [
-                deco_dequantize(p) if isinstance(p, QuantizedMpo) else p
-                for p in self._count_read(parts)
-            ],
+            [deco_dequantize(p) if isinstance(p, QuantizedMpo) else p for p in parts],
             axis=0,
         )
 
     def read_keys(self, layer: int) -> np.ndarray:
-        return self._read(self._layer(layer).key_parts())
+        lc = self._layer(layer)
+        return self._read(lc.key_parts(), lc.key_bytes())
 
     def read_values(self, layer: int) -> np.ndarray:
-        return self._read(self._layer(layer).value_parts())
+        lc = self._layer(layer)
+        return self._read(lc.value_parts(), lc.value_bytes())
 
     def attention_scores(self, layer: int, q_row: np.ndarray) -> np.ndarray:
         """q @ K^T / sqrt(D), streaming quantized segments (1 x T)."""
@@ -204,13 +219,14 @@ class KvCache:
         q_row = np.asarray(q_row, dtype=np.float32).reshape(1, -1)
         if q_row.shape[1] != self.config.dim:
             raise DimMismatch(f"query width {q_row.shape[1]} != {self.config.dim}")
+        self.bytes_moved_read += lc.key_bytes()
         q64 = q_row.astype(np.float64)
         scores = np.concatenate(
             [
                 fused_matmul_t(q_row, p)
                 if isinstance(p, QuantizedMpo)
                 else (q64 @ p.astype(np.float64).T).astype(np.float32)
-                for p in self._count_read(lc.key_parts())
+                for p in lc.key_parts()
             ],
             axis=1,
         )

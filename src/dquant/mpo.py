@@ -2,14 +2,28 @@
 
 A matrix W of shape (prod(i_factors), prod(j_factors)) is reshaped to
 [i1..in, j1..jn], permuted to the interleaved order [i1, j1, i2, j2, ...],
-and split left to right by full-rank SVD. Each singular value is divided
-evenly between the two sides of its split (U*sqrt(s) stays in the current
-core, sqrt(s)*Vt is carried forward), so no single core holds the full
-dynamic range of the input. Bond dimensions follow
+and split left to right at full rank. Each unfolding is split through the
+eigendecomposition of its smaller Gram matrix (Halko et al., arXiv
+0909.4061): with a the unfolding, or its transpose when it is tall, and u
+the orthonormal eigenvectors of a @ a.T, proj = u.T @ a and s_k = |proj_k|,
+sorted in descending order. Each s_k is divided evenly between the two
+sides of its split (u*sqrt(s) stays in the current core, proj/sqrt(s) is
+carried forward), so no single core holds the full dynamic range of the
+input. Bond dimensions follow
 
     d_k = min(prod_{l<=k} i_l*j_l, prod_{l>k} i_l*j_l)
 
 and the factorization is exact up to float32 round-off.
+
+No SVD fallback is needed for rank-deficient or ill-conditioned input:
+eigh returns an orthonormal u even for a singular Gram matrix, so
+u @ u.T @ a = a to round-off whatever the rank. Because s is measured on
+the projected rows rather than taken from the eigenvalues, the split stays
+balanced, and a direction with s_k = 0 gives zero rows on both sides (the
+zero matrix gives zero cores). The Gram matrix is float64, so float32
+input can neither overflow nor underflow it. Small s_k are accurate only
+to about sqrt(eps) * s_1 in absolute terms, which does not affect the
+product.
 """
 
 from dataclasses import dataclass
@@ -151,11 +165,33 @@ def _interleave(t, i_factors, j_factors):
     return np.transpose(t, order)
 
 
+def _split(mat: np.ndarray):
+    """(left, right) with mat = left @ right, sqrt(s_k) on each side of bond k.
+
+    The Gram route of the module docstring; a bond with s_k = 0 is zero on
+    both sides.
+    """
+    tall = mat.shape[0] > mat.shape[1]
+    a = mat.T if tall else mat
+    u = np.linalg.eigh(a @ a.T)[1][:, ::-1]  # largest eigenvalue first
+    proj = u.T @ a
+    s = np.sqrt(np.einsum("ij,ij->i", proj, proj))
+    order = np.argsort(-s, kind="stable")
+    # eigh's order, reversed, is already s's up to round-off: copy only if not
+    if (order != np.arange(len(s))).any():
+        u, proj, s = u[:, order], proj[order], s[order]
+    root = np.sqrt(s)
+    left = u * root
+    proj /= np.where(root > 0, root, 1.0)[:, None]
+    return (proj.T, left.T) if tall else (left, proj)
+
+
 def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
     """Full-rank tensor-train split of a matrix under the given plan.
 
-    Raises NonFiniteInput on a NaN or infinite entry, which the SVD cannot
-    split (it raises on NaN and can spin without returning on inf).
+    Each unfolding is split through the eigendecomposition of its smaller
+    Gram matrix, with no SVD and no fallback (see the module docstring for
+    why none is needed). Raises NonFiniteInput on a NaN or infinite entry.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape != (plan.rows, plan.cols):
@@ -165,8 +201,8 @@ def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
         )
     _require_finite(m, "decompose")
     n = plan.n
-    carry = _interleave(
-        np.asarray(m, dtype=np.float64), plan.i_factors, plan.j_factors
+    carry = np.ascontiguousarray(
+        _interleave(m, plan.i_factors, plan.j_factors), dtype=np.float64
     )
     cores = []
     d_prev = 1
@@ -176,11 +212,10 @@ def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
         if k == n - 1:
             cores.append(mat.reshape(d_prev, ik, jk, 1))
             break
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        root = np.sqrt(s)
-        cores.append((u * root).reshape(d_prev, ik, jk, len(s)))
-        carry = root[:, None] * vt
-        d_prev = len(s)
+        left, carry = _split(mat)
+        d_next = left.shape[1]
+        cores.append(left.reshape(d_prev, ik, jk, d_next))
+        d_prev = d_next
     return MpoChain(tuple(c.astype(np.float32) for c in cores))
 
 

@@ -6,7 +6,10 @@ Quantization uses a single positive step size per tensor:
     code = clamp(round_half_away_from_zero(t / step), -qmax, qmax)
 
 The code range is symmetric: the most negative two's-complement value
-(-2**(bits-1)) is never produced.
+(-2**(bits-1)) is never produced. Codes are computed over the flat tensor
+in blocks of QUANT_BLOCK elements, each block in float64 with the same
+operations as a single pass (t * qmax / max(|t|), then rounding), so the
+codes are those of one pass and no full-size float64 or int64 copy is made.
 
 Packed payload layout (stable wire format): codes are stored in row-major
 element order, two's complement within `bits` bits, little-endian bit
@@ -21,6 +24,7 @@ import numpy as np
 from .errors import CorruptPayload, NonFiniteInput, RangeOverflow, UnsupportedBits
 
 SUPPORTED_BITS = (2, 4, 8)
+QUANT_BLOCK = 1 << 16  # elements quantized per float64 pass
 
 
 def _check_bits(bits):
@@ -64,14 +68,17 @@ class QuantizedTensor:
 
 
 def pack(values, bits: int) -> bytes:
-    """Bit-pack small signed integers (low bits first within each byte)."""
+    """Bit-pack small signed integers (low bits first within each byte).
+
+    The range check runs on the values as given, before they are narrowed
+    to int8 and masked.
+    """
     _check_bits(bits)
-    v = np.asarray(values, dtype=np.int64).ravel()
+    v = np.asarray(values).ravel()
     qmax = (1 << (bits - 1)) - 1
     if v.size and (v.min() < -qmax or v.max() > qmax):
         raise RangeOverflow(f"values outside [-{qmax}, {qmax}] at {bits} bits")
-    mask = (1 << bits) - 1
-    u = (v & mask).astype(np.uint8)
+    u = v.astype(np.int8, copy=False).view(np.uint8) & np.uint8((1 << bits) - 1)
     per = 8 // bits
     if u.size % per:
         u = np.concatenate([u, np.zeros(per - u.size % per, dtype=np.uint8)])
@@ -123,31 +130,32 @@ def _unpack_bytes(chunk, count, bits, skip):
 def quantize_rtn(t: np.ndarray, bits: int) -> QuantizedTensor:
     """Quantize a tensor with one symmetric scale (round half away from zero).
 
-    A degenerate all-zero input gets scale 1.0 and all-zero codes so that
-    dequantization reproduces it exactly.
+    Codes are computed in blocks straight into one int8 array (see the
+    module docstring). A degenerate all-zero input gets scale 1.0 and
+    all-zero codes so that dequantization reproduces it exactly.
     """
     _check_bits(bits)
     t = np.asarray(t)
     if t.size and not np.all(np.isfinite(t)):
         raise NonFiniteInput("quantize_rtn requires finite entries")
     qmax = (1 << (bits - 1)) - 1
-    amax = float(np.max(np.abs(t))) if t.size else 0.0
+    amax = max(float(t.max()), -float(t.min())) if t.size else 0.0
     scale = np.float32(amax / qmax) if amax > 0 else np.float32(1.0)
+    codes = np.zeros(t.size, dtype=np.int8)
     if amax == 0.0 or float(scale) == 0.0:
         # zero input, or a subnormal max that underflows the float32 step:
         # store step 1.0 and all-zero codes
         scale = np.float32(1.0)
-        codes = np.zeros(t.shape, dtype=np.float64)
     else:
-        # w * qmax / max(|t|) keeps exactly-representable ties exact, unlike
-        # dividing by the rounded float32 step
-        y = np.asarray(t, dtype=np.float64) * qmax / amax
-        codes = np.clip(np.copysign(np.floor(np.abs(y) + 0.5), y), -qmax, qmax)
+        flat = t.ravel()
+        for i in range(0, t.size, QUANT_BLOCK):
+            # w * qmax / max(|t|) keeps exactly-representable ties exact,
+            # unlike dividing by the rounded float32 step
+            y = flat[i : i + QUANT_BLOCK].astype(np.float64) * qmax / amax
+            r = np.copysign(np.floor(np.abs(y) + 0.5), y)
+            codes[i : i + QUANT_BLOCK] = np.clip(r, -qmax, qmax)
     return QuantizedTensor(
-        shape=tuple(t.shape),
-        bits=bits,
-        scale=float(scale),
-        payload=pack(codes.astype(np.int64), bits),
+        shape=tuple(t.shape), bits=bits, scale=float(scale), payload=pack(codes, bits)
     )
 
 

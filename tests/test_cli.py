@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from dquant import compression_report, deco_quantize, synth_activations
+from dquant import analysis, compression_report, deco_quantize, synth_activations
 from dquant.cli import main
 from dquant.formats import read_tensor, write_mpo, write_tensor
 
@@ -203,6 +203,27 @@ def test_bench_unknown_experiment(tmp_path, capsys):
     )
     assert code == 4
     assert "unknown experiment" in err
+
+
+def test_bench_unknown_experiment_builds_no_suite(tmp_path, capsys, monkeypatch):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("default_suite built before the experiment check")
+
+    monkeypatch.setattr(analysis, "default_suite", no_suite)
+    code, _, err = run(
+        capsys, "bench", "--experiment", "nonsense", "--csv", str(tmp_path / "x.csv")
+    )
+    assert code == 4
+    assert "unknown experiment" in err
+
+
+def test_analyze_outliers_checks_n_before_reading(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "analyze-outliers", "--input", str(tmp_path / "missing.dqt"),
+        "--n", "3", "--csv", str(tmp_path / "o.csv"),
+    )
+    assert code == 3
+    assert "n=2" in err
 
 
 def test_bench_bad_bits(tmp_path, capsys):

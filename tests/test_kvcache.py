@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import dquant
-from dquant import CacheConfig, KvCache, simulate_generation
+from dquant import (
+    CacheConfig,
+    KvCache,
+    QuantizedMpo,
+    compression_report,
+    simulate_generation,
+)
 from dquant.errors import (
     AlreadyPrefilled,
     DimMismatch,
@@ -148,6 +154,55 @@ class TestReads:
         cache.read_keys(0)
         after = cache.ledger().bytes_moved_read
         assert after > before
+
+    @pytest.mark.parametrize("bits", [4, None])
+    def test_segment_bytes_counted_once(self, bits, monkeypatch):
+        calls = []
+
+        def counting_report(seg):
+            calls.append(seg)
+            return compression_report(seg)
+
+        monkeypatch.setattr(dquant.kvcache, "compression_report", counting_report)
+        cache = KvCache(CacheConfig(layers=2, dim=32, bits=bits, chunk_len=16))
+        rng = np.random.default_rng(8)
+        expected = 0
+        for layer in range(2):
+            cache.prefill(layer, *kv(40, 32, layer))
+        for step in range(37):
+            for layer in range(2):
+                k_row, v_row = rng.standard_normal((2, 32)).astype(np.float32)
+                cache.append_token(layer, k_row, v_row)
+                lc = cache.layers[layer]
+                if step % 3 == 0:
+                    cache.attention_scores(layer, k_row)
+                elif step % 3 == 1:
+                    cache.read_keys(layer)
+                else:
+                    cache.read_values(layer)
+                parts = lc.value_parts() if step % 3 == 2 else lc.key_parts()
+                expected += sum(
+                    compression_report(p).bytes_compressed
+                    if isinstance(p, QuantizedMpo)
+                    else p.size * 2
+                    for p in parts
+                )
+        assert cache.ledger().bytes_moved_read == expected
+        sealed = 0
+        for lc in cache.layers:
+            assert len(lc.key_segment_bytes) == len(lc.key_segments) == 3
+            for segs, counts in (
+                (lc.key_segments, lc.key_segment_bytes),
+                (lc.value_segments, lc.value_segment_bytes),
+            ):
+                for seg, count in zip(segs, counts):
+                    if bits is None:
+                        assert count == seg.size * 2
+                    else:
+                        assert count == compression_report(seg).bytes_compressed
+                        sealed += 1
+        # one count per quantized segment, at sealing; reads add none
+        assert len(calls) == sealed
 
 
 class TestAttentionScores:

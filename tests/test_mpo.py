@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dquant import MpoChain, ShapePlan, decompose, plan_shapes, reconstruct, split_large_small
 from dquant import deco_quantize
@@ -171,3 +173,67 @@ class TestSplitLargeSmall:
         chain = decompose(np.ones((1, 1), np.float32), plan_shapes(1, 1, 2))
         large, _ = split_large_small(chain)
         assert large is chain.local_tensors[1]
+
+
+def unfold(m, plan):
+    """The first unfolding decompose splits: (i1*j1) x (i2*j2) for n=2."""
+    (i1, i2), (j1, j2) = plan.i_factors, plan.j_factors
+    t = m.astype(np.float64).reshape(i1, i2, j1, j2).transpose(0, 2, 1, 3)
+    return t.reshape(i1 * j1, i2 * j2)
+
+
+@st.composite
+def split_inputs(draw):
+    """A plan with n in {2, 3}, and a matrix of any rank, scaled by 1e-30..1e30.
+
+    First factors up to 8 against later ones up to 8 make both wide and tall
+    unfoldings.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    factor = st.integers(1, 8 if n == 2 else 4)
+    plan = ShapePlan(
+        tuple(draw(factor) for _ in range(n)), tuple(draw(factor) for _ in range(n))
+    )
+    rank = draw(st.integers(0, min(plan.rows, plan.cols)))
+    scale = draw(st.sampled_from([1e-30, 1.0, 1e30]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.standard_normal((plan.rows, rank))
+    m = (left @ rng.standard_normal((rank, plan.cols)) * scale).astype(np.float32)
+    return plan, m
+
+
+class TestGramSplit:
+    @settings(max_examples=150, deadline=None)
+    @given(split_inputs())
+    def test_reconstructs_with_planned_bonds(self, case):
+        plan, m = case
+        chain = decompose(m, plan)
+        assert chain.bond_dims == plan.bond_dims()
+        # float64 norms: at 1e30 a float32 norm overflows
+        assert rel_err(m.astype(np.float64), reconstruct(chain)) <= 1e-5
+
+    @settings(max_examples=150, deadline=None)
+    @given(split_inputs().filter(lambda case: case[0].n == 2))
+    def test_balanced_sorted_singular_values(self, case):
+        plan, m = case
+        first, last = (t.astype(np.float64) for t in decompose(m, plan).local_tensors)
+        col_norms = np.linalg.norm(first.reshape(-1, first.shape[3]), axis=0)
+        row_norms = np.linalg.norm(last.reshape(last.shape[0], -1), axis=1)
+        sv = np.linalg.svd(unfold(m, plan), compute_uv=False)
+        top = max(col_norms.max(), np.sqrt(sv[0]), 1e-300)
+        np.testing.assert_allclose(col_norms, row_norms, rtol=0, atol=1e-6 * top)
+        assert np.all(np.diff(col_norms) <= 1e-6 * top)
+        # squared: the Gram route gets s_k to within about sqrt(eps) * s_1,
+        # an error a square root inflates near s_k = 0
+        np.testing.assert_allclose(
+            col_norms**2, sv, rtol=0, atol=1e-6 * max(sv[0], 1e-300)
+        )
+
+    @pytest.mark.parametrize("shape", [(64, 48), (48, 64), (512, 1), (1, 96)])
+    def test_wide_and_tall_unfoldings(self, shape):
+        m = rand(shape, 11)
+        plan = plan_shapes(*shape, 2)
+        mat = unfold(m, plan)
+        chain = decompose(m, plan)
+        assert chain.bond_dims == (min(mat.shape),)
+        assert rel_err(m, reconstruct(chain)) < 1e-6

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dquant import QuantizedTensor, dequantize, pack, quantize_rtn, unpack
 from dquant.errors import (
@@ -12,7 +13,7 @@ from dquant.errors import (
     RangeOverflow,
     UnsupportedBits,
 )
-from dquant.quantize import unpack_range
+from dquant.quantize import QUANT_BLOCK, SUPPORTED_BITS, unpack_range
 
 
 def rtn_oracle(values, bits):
@@ -164,3 +165,84 @@ class TestPacking:
         for start, count in [(0, 7), (3, 11), (50, 51), (97, 4), (0, 101)]:
             got = unpack_range(payload, start, count, bits)
             np.testing.assert_array_equal(got, full[start : start + count])
+
+
+def one_shot_rtn(t, bits):
+    """quantize_rtn as one full-size float64 pass, packed through int64 codes."""
+    qmax = 2 ** (bits - 1) - 1
+    t = np.asarray(t)
+    amax = float(np.max(np.abs(t))) if t.size else 0.0
+    scale = np.float32(amax / qmax) if amax > 0 else np.float32(1.0)
+    if amax == 0.0 or float(scale) == 0.0:
+        scale, codes = np.float32(1.0), np.zeros(t.size, dtype=np.int64)
+    else:
+        y = np.asarray(t, dtype=np.float64).ravel() * qmax / amax
+        codes = np.clip(np.copysign(np.floor(np.abs(y) + 0.5), y), -qmax, qmax)
+        codes = codes.astype(np.int64)
+    per = 8 // bits
+    lanes = np.zeros(-(-codes.size // per) * per, dtype=np.int64)
+    lanes[: codes.size] = codes & ((1 << bits) - 1)
+    shifted = lanes.reshape(-1, per) << (bits * np.arange(per))
+    return float(scale), shifted.sum(axis=1).astype(np.uint8).tobytes()
+
+
+finite_f32 = st.floats(
+    width=32, allow_nan=False, allow_infinity=False, allow_subnormal=True
+)
+
+
+class TestBlockedParity:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(SUPPORTED_BITS),
+        hnp.arrays(
+            np.float32,
+            hnp.array_shapes(min_dims=0, max_dims=3, min_side=0),
+            elements=finite_f32,
+        ),
+    )
+    def test_matches_one_shot_formula(self, bits, t):
+        q = quantize_rtn(t, bits)
+        assert (q.scale, q.payload) == one_shot_rtn(t, bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(SUPPORTED_BITS),
+        st.sampled_from(
+            [QUANT_BLOCK - 1, QUANT_BLOCK, QUANT_BLOCK + 1, 2 * QUANT_BLOCK + 3]
+        ),
+        st.integers(-140, 120),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_exact_ties_either_side_of_a_block(self, bits, size, exponent, seed):
+        # t = k * 2**exponent with max |k| = 2 qmax is exact in float32, and
+        # y = t * qmax / amax = k / 2, so every odd k is an exact tie
+        qmax = 2 ** (bits - 1) - 1
+        rng = np.random.default_rng(seed)
+        k = rng.integers(-2 * qmax, 2 * qmax + 1, size)
+        k[rng.integers(size)] = 2 * qmax * rng.choice([-1, 1])
+        t = np.ldexp(k, exponent).astype(np.float32)
+        q = quantize_rtn(t, bits)
+        assert (q.scale, q.payload) == one_shot_rtn(t, bits)
+        ties = k % 2 == 1  # rounded half away from zero
+        expected = np.sign(k[ties]) * ((np.abs(k[ties]) + 1) // 2)
+        np.testing.assert_array_equal(q.codes()[ties], expected)
+
+    @given(st.sampled_from(SUPPORTED_BITS), st.data())
+    def test_pack_unpack_roundtrip(self, bits, data):
+        qmax = 2 ** (bits - 1) - 1
+        values = data.draw(st.lists(st.integers(-qmax, qmax), max_size=70))
+        payload = pack(values, bits)
+        assert payload == pack(np.array(values, dtype=np.int8), bits)
+        assert len(payload) == (len(values) * bits + 7) // 8
+        assert unpack(payload, len(values), bits).tolist() == values
+
+    @pytest.mark.parametrize(
+        "values,bits",
+        [([300], 8), ([-300], 8), ([-128], 8), ([8], 4), ([2], 2), ([-2], 2)],
+    )
+    def test_pack_checks_range_before_narrowing(self, values, bits):
+        with pytest.raises(RangeOverflow):
+            pack(values, bits)
+        with pytest.raises(RangeOverflow):
+            pack(np.array(values, dtype=np.int64), bits)
