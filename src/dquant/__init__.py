@@ -34,7 +34,6 @@ from .compress import (
 from .kvcache import CacheConfig, KvCache, MemoryLedger, simulate_generation
 from .mpo import MpoChain, ShapePlan, decompose, plan_shapes, reconstruct, split_large_small
 from .quantize import QuantizedTensor, dequantize, pack, quantize_rtn, unpack
-from .tensor import QrResult, SvdResult, qr, svd
 
 __all__ = [
     "CacheConfig",
@@ -44,11 +43,9 @@ __all__ = [
     "MemoryLedger",
     "MpoChain",
     "OutlierStats",
-    "QrResult",
     "QuantizedMpo",
     "QuantizedTensor",
     "ShapePlan",
-    "SvdResult",
     "WorkingSetMeter",
     "compression_report",
     "deco_dequantize",
@@ -64,13 +61,11 @@ __all__ = [
     "migration_report",
     "pack",
     "plan_shapes",
-    "qr",
     "quantize_rtn",
     "reconstruct",
     "simulate_generation",
     "split_large_small",
     "strategy_sweep",
-    "svd",
     "synth_activations",
     "unpack",
 ]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mpo, tensor
+from . import mpo
 from .compress import QuantizedMpo, deco_dequantize, factorize
 from .errors import EmptyInput, ShapeMismatch
 from .quantize import dequantize, quantize_rtn
@@ -247,26 +247,14 @@ def _quantize_larger(m, a, b, bits):
     return a @ b, (a.size + b.size) / m.size
 
 
-def _svd_protocol(m, bits):
-    u, s, vt = tensor.svd(m)
-    root = np.sqrt(s.astype(np.float64))
-    a = u.astype(np.float64) * root
-    b = root[:, None] * vt.astype(np.float64)
-    return _quantize_larger(m, a, b, bits)
-
-
-def _qr_protocol(m, bits):
-    q, r = tensor.qr(m)
-    return _quantize_larger(m, q.astype(np.float64), r.astype(np.float64), bits)
-
-
 def decomposition_comparison(suite, bits=4):
     """Chain vs SVD vs QR under the same rule: quantize the larger factor.
 
-    The SVD baseline splits W = (U*sqrt(S)) @ (sqrt(S)*Vt) so both factors
-    carry comparable scale; QR uses W = Q @ R. Parameter overhead is total
-    stored values over the original count. The chain is the one
-    deco_quantize packs.
+    The SVD baseline is the Gram split's balanced pair, W = (U*sqrt(S)) @
+    (sqrt(S)*Vt) from mpo._split in float64, so both factors carry
+    comparable scale; QR uses numpy's reduced W = Q @ R. Parameter
+    overhead is total stored values over the original count. The chain is
+    the one deco_quantize packs.
     """
     records = []
     for seed, m in enumerate(suite):
@@ -275,12 +263,15 @@ def decomposition_comparison(suite, bits=4):
         records.append(
             ErrorRecord(METHOD_TL_ONLY, bits, 2, seed, err, rel, _chain_overhead(chain))
         )
-        rec, overhead = _svd_protocol(m, bits)
-        err, rel = _errors(m, rec)
-        records.append(ErrorRecord(METHOD_SVD, bits, 2, seed, err, rel, overhead))
-        rec, overhead = _qr_protocol(m, bits)
-        err, rel = _errors(m, rec)
-        records.append(ErrorRecord(METHOD_QR, bits, 2, seed, err, rel, overhead))
+        # float64 in: a float32 Gram matrix loses the small singular values
+        m64 = np.asarray(m, dtype=np.float64)
+        for method, (a, b) in (
+            (METHOD_SVD, mpo._split(m64)),
+            (METHOD_QR, np.linalg.qr(m64, mode="reduced")),
+        ):
+            rec, overhead = _quantize_larger(m, a, b, bits)
+            err, rel = _errors(m, rec)
+            records.append(ErrorRecord(method, bits, 2, seed, err, rel, overhead))
     return sorted(records, key=lambda r: (r.seed, r.method, r.bits))
 
 

@@ -9,10 +9,6 @@ class ShapeMismatch(DquantError, ValueError):
     """Operand shapes are incompatible."""
 
 
-class NoConvergence(DquantError, ArithmeticError):
-    """Iterative factorization failed to converge (pathological input)."""
-
-
 class NonFiniteInput(DquantError, ValueError):
     """Input contains NaN or infinity."""
 

@@ -40,12 +40,17 @@ DTYPE_FLOAT32 = 0
 DTYPE_PACKED = 1
 
 
-def _read_exact(f, n, what):
-    """Read n bytes; a size beyond the end of the file is never allocated."""
+def _require_left(f, n, what):
+    """Raise unless n more bytes remain, before anything of size n is allocated."""
     here = f.tell()
     if n > f.seek(0, io.SEEK_END) - here:
         raise MalformedFile(f"truncated file while reading {what}")
     f.seek(here)
+
+
+def _read_exact(f, n, what):
+    """Read n bytes; a size beyond the end of the file is never allocated."""
+    _require_left(f, n, what)
     data = f.read(n)
     if len(data) != n:
         raise MalformedFile(f"truncated file while reading {what}")
@@ -76,9 +81,11 @@ def _read_tensor_body(f):
     for d in dims:
         count *= int(d)
     if dtype == DTYPE_FLOAT32:
-        raw = _read_exact(f, 4 * count, "float payload")
-        arr = np.frombuffer(raw, dtype="<f4", count=count).astype(np.float32)
-        return arr.reshape(dims)
+        _require_left(f, 4 * count, "float payload")
+        arr = np.empty(dims, dtype="<f4")
+        if f.readinto(arr) != arr.nbytes:
+            raise MalformedFile("truncated file while reading float payload")
+        return arr.astype(np.float32, copy=False)
     bits, scale = struct.unpack("<Bf", _read_exact(f, 5, "quantized header"))
     payload = _read_exact(f, payload_size(count, bits), "packed payload")
     try:

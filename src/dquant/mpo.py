@@ -31,8 +31,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import BondMismatch, ShapeMismatch
-from .tensor import _require_finite
+from .errors import BondMismatch, NonFiniteInput, ShapeMismatch
 
 FACTOR_CAP = 8
 
@@ -199,7 +198,8 @@ def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
             f"matrix shape {m.shape} does not match plan "
             f"({plan.rows}, {plan.cols})"
         )
-    _require_finite(m, "decompose")
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteInput("decompose requires finite entries")
     n = plan.n
     carry = np.ascontiguousarray(
         _interleave(m, plan.i_factors, plan.j_factors), dtype=np.float64

@@ -19,6 +19,7 @@ from dquant.analysis import (
     METHOD_SVD,
     METHOD_TL_ONLY,
     OUTLIERS_CSV_COLUMNS,
+    _quantize_larger,
     median_by,
     write_errors_csv,
     write_outliers_csv,
@@ -184,6 +185,30 @@ class TestDecompositionComparison:
         assert by_method[METHOD_SVD].param_overhead == pytest.approx(2.0)
         assert by_method[METHOD_QR].param_overhead == pytest.approx(2.0)
         assert by_method[METHOD_TL_ONLY].param_overhead < 2.0
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_baselines_match_numpy_reference(self, bits):
+        suite = small_suite(2)
+        expected = {}
+        for seed, m in enumerate(suite):
+            m64 = m.astype(np.float64)
+            u, s, vt = np.linalg.svd(m64, full_matrices=False)
+            root = np.sqrt(s)
+            for method, (a, b) in (
+                (METHOD_SVD, (u * root, root[:, None] * vt)),
+                (METHOD_QR, np.linalg.qr(m64, mode="reduced")),
+            ):
+                rec, _ = _quantize_larger(m, a, b, bits)
+                expected[seed, method] = np.linalg.norm(m64 - rec)
+        records = decomposition_comparison(suite, bits=bits)
+        checked = 0
+        for r in records:
+            if r.method in (METHOD_SVD, METHOD_QR):
+                assert r.frobenius_error == pytest.approx(
+                    expected[r.seed, r.method], rel=1e-5
+                )
+                checked += 1
+        assert checked == 2 * len(suite)
 
     def test_chain_wins_on_suite(self):
         med = median_by(decomposition_comparison(small_suite(6), bits=4))

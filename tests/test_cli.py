@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+import dquant
 from dquant import analysis, compression_report, deco_quantize, synth_activations
 from dquant.cli import main
 from dquant.formats import read_tensor, write_mpo, write_tensor
@@ -195,6 +196,22 @@ def test_bench_strategies_row_count(tmp_path, capsys):
     assert summary["rows"] == 3 * 2 * 2  # methods x bits x seeds
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 1 + summary["rows"]
+
+
+def test_bench_decompositions_row_count(tmp_path, capsys):
+    csv_path = tmp_path / "errors.csv"
+    code, out, _ = run(
+        capsys, "bench", "--experiment", "decompositions", "--bits", "4",
+        "--seeds", "1", "--csv", str(csv_path),
+    )
+    assert code == 0
+    assert json.loads(out)["rows"] == 3  # chain, SVD and QR for one seed
+    assert len(csv_path.read_text().splitlines()) == 1 + 3
+
+
+def test_every_export_resolves():
+    missing = [name for name in dquant.__all__ if not hasattr(dquant, name)]
+    assert missing == []
 
 
 def test_bench_unknown_experiment(tmp_path, capsys):

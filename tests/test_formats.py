@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dquant import QuantizedTensor, deco_quantize, pack
 from dquant.errors import MalformedFile
@@ -123,3 +125,45 @@ def test_dims_beyond_the_file(tmp_path):
     with pytest.raises(MalformedFile):
         read_tensor(path)
 
+
+
+# DQZ1 header plus the first core's body header (n = 2: 41 + 39 bytes)
+HEADER_BYTES = 96
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Bytes of valid float DQT1, packed DQT1 and DQZ1 files, and a path to mutate."""
+    root = tmp_path_factory.mktemp("fuzz")
+    m = np.random.default_rng(2).standard_normal((16, 8)).astype(np.float32)
+    write_tensor(root / "float.dqt", m)
+    packed = QuantizedTensor((3, 5), 2, 0.25, pack([1] * 15, 2))
+    write_tensor(root / "packed.dqt", packed)
+    write_mpo(root / "chain.dqz", deco_quantize(m, 4))
+    names = ("float.dqt", "packed.dqt", "chain.dqz")
+    seeds = [(root / name).read_bytes() for name in names]
+    return seeds, root / "mutated"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_files_raise_only_malformed(fuzz_files, data):
+    seeds, path = fuzz_files
+    blob = data.draw(st.sampled_from(seeds))
+    op = data.draw(st.sampled_from(("truncate", "flip", "splice")))
+    if op == "truncate":
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    elif op == "flip":
+        i = data.draw(st.integers(0, min(len(blob), HEADER_BYTES) - 1))
+        flipped = blob[i] ^ data.draw(st.integers(1, 255))
+        blob = blob[:i] + bytes([flipped]) + blob[i + 1 :]
+    else:
+        other = data.draw(st.sampled_from(seeds))
+        blob = blob[: data.draw(st.integers(0, len(blob)))]
+        blob += other[data.draw(st.integers(0, len(other))) :]
+    path.write_bytes(blob)
+    for read in (read_tensor, read_mpo):
+        try:
+            read(path)
+        except MalformedFile:
+            pass
