@@ -24,6 +24,13 @@ matrix; a tile is as many whole rows as fit in TILE_ELEMENTS (64*64) values,
 or, when one row is wider than that, a TILE_ELEMENTS-wide piece of one row.
 Either way a tile is one contiguous range of the payload, and the transient
 dequantized buffer never exceeds TILE_ELEMENTS values.
+
+A tile is dequantized by one gather: unpack_range looks each payload byte
+up in the core's table CODE_TABLES[bits] * scale (float64, built once per
+core), so no code array is made and no per-tile scaling pass runs. The
+result is bit-for-bit the codes cast to float64 and then scaled, because
+that product is exact: a code of at most 8 bits times the float32 scale's
+24-bit significand needs at most 32 of float64's 53 bits.
 """
 
 from dataclasses import dataclass
@@ -33,7 +40,13 @@ import numpy as np
 
 from . import mpo
 from .errors import ShapeMismatch
-from .quantize import QuantizedTensor, dequantize, quantize_rtn, unpack_range
+from .quantize import (
+    CODE_TABLES,
+    QuantizedTensor,
+    dequantize,
+    quantize_rtn,
+    unpack_range,
+)
 
 TILE_ELEMENTS = 64 * 64
 FP_CORE_SHARE = 64  # the first core holds at most 1/64 of the matrix's values
@@ -171,9 +184,10 @@ def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter):
     """Yield (row slice, column slice, float64 tile) over a packed (rows, cols) M.
 
     Whole rows while a row fits in TILE_ELEMENTS, else TILE_ELEMENTS-wide
-    pieces of one row: each tile is one contiguous unpack_range.
+    pieces of one row: each tile is one contiguous unpack_range, gathered
+    through the core's table of code * scale.
     """
-    scale = np.float64(qt.scale)
+    table = CODE_TABLES[qt.bits] * np.float64(qt.scale)
     height = max(1, TILE_ELEMENTS // cols)
     width = min(cols, TILE_ELEMENTS)
     pieces = [slice(c0, min(cols, c0 + width)) for c0 in range(0, cols, width)]
@@ -182,12 +196,10 @@ def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter):
         h = rs.stop - r0
         for cs in pieces:
             start, count = r0 * cols + cs.start, h * (cs.stop - cs.start)
-            codes = unpack_range(qt.payload, start, count, qt.bits)
+            tile = unpack_range(qt.payload, start, count, qt.bits, table)
             if meter is not None:
                 meter.record(count)
-            tile = codes.astype(np.float64).reshape(h, -1)
-            tile *= scale
-            yield rs, cs, tile
+            yield rs, cs, tile.reshape(h, -1)
 
 
 def fused_matmul(x: np.ndarray, q: QuantizedMpo, meter: WorkingSetMeter = None):

@@ -64,7 +64,7 @@ def _write_tensor_body(f, t):
         f.write(struct.pack("<Bf", t.bits, t.scale))
         f.write(t.payload)
     else:
-        arr = np.ascontiguousarray(t, dtype=np.float32)
+        arr = np.asarray(t, dtype=np.float32)
         f.write(struct.pack("<BB", DTYPE_FLOAT32, arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         f.write(arr.astype("<f4").tobytes())

@@ -15,6 +15,16 @@ Packed payload layout (stable wire format): codes are stored in row-major
 element order, two's complement within `bits` bits, little-endian bit
 order inside each byte - the earliest element occupies the lowest-order
 bits. Example at bits=4: values [1, -1] pack to the single byte 0xF1.
+
+Unpacking is a table lookup. CODE_TABLES[bits] is a read-only
+(256, 8 // bits) int8 table, built once: row b holds the codes packed in
+byte b, lowest-order lane first, so CODE_TABLES[4][0xF1] is [1, -1].
+Gathering its rows for a run of payload bytes and flattening them gives
+the codes in element order. unpack_range takes any table with 256 rows in
+this lane order, so a caller can gather decoded values in place of codes
+(the fused multiply gathers code * scale in float64). At 8 bits with no
+table the payload is already the int8 codes, and a copy of it is cheaper
+than a gather.
 """
 
 from dataclasses import dataclass
@@ -96,35 +106,52 @@ def unpack(payload: bytes, count: int, bits: int) -> np.ndarray:
         raise CorruptPayload(
             f"payload is {len(payload)} bytes, expected {payload_size(count, bits)}"
         )
-    return _unpack_bytes(np.frombuffer(payload, dtype=np.uint8), count, bits, skip=0)
+    return _unpack_bytes(np.frombuffer(payload, dtype=np.uint8), count, bits, 0, None)
 
 
-def unpack_range(payload: bytes, start: int, count: int, bits: int) -> np.ndarray:
-    """Unpack codes for elements [start, start+count) without touching the rest.
+def unpack_range(
+    payload: bytes, start: int, count: int, bits: int, table=None
+) -> np.ndarray:
+    """Unpack elements [start, start+count) without touching the rest.
 
     Elements never straddle byte boundaries (bits divides 8), so only the
-    covering byte range is read. This is the primitive the fused multiply
-    uses to dequantize tile-by-tile.
+    covering byte range is read. Each covering byte is looked up in
+    `table`, a (256, 8 // bits) array in CODE_TABLES lane order; the
+    default, CODE_TABLES[bits], gives int8 codes. The fused multiply
+    passes CODE_TABLES[bits] * scale, so each of its tiles is dequantized
+    by this one gather.
     """
     _check_bits(bits)
     per = 8 // bits
     byte0 = start // per
     byte1 = (start + count + per - 1) // per
-    if byte1 > len(payload) or start < 0:
+    if byte1 > len(payload) or start < 0 or count < 0:
         raise CorruptPayload("requested element range exceeds payload")
     chunk = np.frombuffer(payload, dtype=np.uint8, count=byte1 - byte0, offset=byte0)
-    return _unpack_bytes(chunk, count, bits, skip=start - byte0 * per)
+    return _unpack_bytes(chunk, count, bits, start - byte0 * per, table)
 
 
-def _unpack_bytes(chunk, count, bits, skip):
+def _code_table(bits):
+    """(256, 8 // bits) int8 codes of every byte, lowest-order lane first."""
     per = 8 // bits
     mask = (1 << bits) - 1
     sign = 1 << (bits - 1)
-    lanes = np.empty((len(chunk), per), dtype=np.uint8)
-    for i in range(per):
-        lanes[:, i] = (chunk >> (bits * i)) & mask
-    flat = lanes.reshape(-1)[skip : skip + count].astype(np.int16)
-    return ((flat ^ sign) - sign).astype(np.int8)
+    byte = np.arange(256, dtype=np.int16)[:, None]
+    lanes = (byte >> (bits * np.arange(per))) & mask
+    table = ((lanes ^ sign) - sign).astype(np.int8)
+    table.setflags(write=False)
+    return table
+
+
+CODE_TABLES = {bits: _code_table(bits) for bits in SUPPORTED_BITS}
+
+
+def _unpack_bytes(chunk, count, bits, skip, table):
+    if table is None:
+        if bits == 8:
+            return chunk[skip : skip + count].view(np.int8).copy()
+        table = CODE_TABLES[bits]
+    return np.take(table, chunk, axis=0).reshape(-1)[skip : skip + count]
 
 
 def quantize_rtn(t: np.ndarray, bits: int) -> QuantizedTensor:

@@ -14,7 +14,7 @@ from dquant import (
     plan_shapes,
     synth_activations,
 )
-from dquant.compress import TILE_ELEMENTS
+from dquant.compress import TILE_ELEMENTS, _tiles
 from dquant.errors import ShapeMismatch
 
 
@@ -156,6 +156,24 @@ class TestFusedMatmul:
         meter_t = WorkingSetMeter()
         assert rel_err(x_t @ full.T, fused_matmul_t(x_t, q, meter_t)) < 1e-4
         assert 0 < meter_t.peak_elements <= TILE_ELEMENTS
+
+    @pytest.mark.parametrize(
+        "shape,bits",
+        [((7, 301), 4), ((8, 32792), 4), ((256, 301), 2), ((256, 301), 4)],
+    )
+    def test_tiles_are_cast_then_scaled_codes(self, shape, bits):
+        # 8 x 32792 and 256 x 301 have tiles that start mid-byte
+        q = deco_quantize(rand(shape, 14), bits)
+        for qt in q.quantized_locals:
+            rows, cols = qt.shape[0] * qt.shape[1], qt.shape[2] * qt.shape[3]
+            codes = qt.codes().reshape(rows, cols)
+            seen = np.zeros((rows, cols), dtype=int)
+            for rs, cs, tile in _tiles(qt, rows, cols, None):
+                want = codes[rs, cs].astype(np.float64) * np.float64(qt.scale)
+                assert tile.shape == want.shape
+                assert tile.tobytes() == want.tobytes()
+                seen[rs, cs] += 1
+            assert (seen == 1).all()
 
     def test_shape_mismatch(self):
         q = deco_quantize(rand((16, 16)), 4)

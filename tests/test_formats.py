@@ -49,6 +49,16 @@ def test_tensor_roundtrip_float(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0), (5,)])
+def test_tensor_roundtrip_keeps_shape(tmp_path, shape):
+    t = np.arange(1, 1 + int(np.prod(shape)), dtype=np.float32).reshape(shape)
+    path = tmp_path / "t.dqt"
+    write_tensor(path, t)
+    got = read_tensor(path)
+    assert got.shape == shape and got.dtype == np.float32
+    assert got.tobytes() == t.tobytes()
+
+
 def test_tensor_roundtrip_quantized(tmp_path):
     q = QuantizedTensor(shape=(3,), bits=2, scale=1.25, payload=pack([1, 0, -1], 2))
     path = tmp_path / "q.dqt"

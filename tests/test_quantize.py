@@ -13,7 +13,7 @@ from dquant.errors import (
     RangeOverflow,
     UnsupportedBits,
 )
-from dquant.quantize import QUANT_BLOCK, SUPPORTED_BITS, unpack_range
+from dquant.quantize import CODE_TABLES, QUANT_BLOCK, SUPPORTED_BITS, unpack_range
 
 
 def rtn_oracle(values, bits):
@@ -246,3 +246,54 @@ class TestBlockedParity:
             pack(values, bits)
         with pytest.raises(RangeOverflow):
             pack(np.array(values, dtype=np.int64), bits)
+
+
+class TestCodeTables:
+    def test_negative_count_raises(self):
+        payload = pack(list(range(-7, 8)) + [0], 4)
+        with pytest.raises(CorruptPayload):
+            unpack_range(payload, 5, -3, 4)
+        with pytest.raises(CorruptPayload):
+            unpack_range(pack([1, -1, 0, 1], 2), 0, -1, 2)
+        with pytest.raises(CorruptPayload):
+            unpack_range(pack([1, -1], 8), 1, -1, 8)
+
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_rows_are_the_codes_of_each_byte(self, bits):
+        table = CODE_TABLES[bits]
+        assert table.shape == (256, 8 // bits) and table.dtype == np.int8
+        assert not table.flags.writeable
+        qmax = 2 ** (bits - 1) - 1
+        for b in range(256):
+            lanes = [(b >> (bits * i)) & ((1 << bits) - 1) for i in range(8 // bits)]
+            signed = [v - (1 << bits) if v >> (bits - 1) else v for v in lanes]
+            assert table[b].tolist() == signed
+            if max(map(abs, signed)) <= qmax:  # -2**(bits-1) is never packed
+                assert pack(table[b], bits) == bytes([b])
+        np.testing.assert_array_equal(CODE_TABLES[4][0xF1], [1, -1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(SUPPORTED_BITS),
+        st.data(),
+        st.floats(min_value=0, exclude_min=True, allow_infinity=False, width=32),
+    )
+    def test_scaled_table_is_cast_then_scale(self, bits, data, scale):
+        qmax = 2 ** (bits - 1) - 1
+        values = data.draw(st.lists(st.integers(-qmax, qmax), max_size=70))
+        start = data.draw(st.integers(0, len(values)))
+        count = data.draw(st.integers(0, len(values) - start))
+        payload = pack(values, bits)
+        s64 = np.float64(np.float32(scale))
+        got = unpack_range(payload, start, count, bits, CODE_TABLES[bits] * s64)
+        codes = unpack_range(payload, start, count, bits)
+        assert got.dtype == np.float64
+        assert got.tobytes() == (codes.astype(np.float64) * s64).tobytes()
+
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_codes_are_a_fresh_writable_array(self, bits):
+        payload = pack([1, -1] * 40, bits)
+        view = np.frombuffer(payload, dtype=np.uint8)
+        for codes in (unpack(payload, 80, bits), unpack_range(payload, 0, 80, bits)):
+            assert codes.dtype == np.int8 and codes.flags.writeable
+            assert not np.shares_memory(codes, view)
