@@ -16,72 +16,28 @@ $BENCH_LABEL (default "current"), so runs of two checkouts can share a file.
 """
 
 import io
-import json
-import os
-import platform
 from contextlib import redirect_stdout
-from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+import benchlib  # first: it pins BLAS to one thread before numpy loads
+import pytest
 
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
+from dquant import cli, compress, formats, mpo, quantize
 
-from dquant import cli, compress, formats, mpo, quantize  # noqa: E402
-
-ROOT = Path(__file__).resolve().parents[1]
 ROUNDS = 5  # timed rounds per case, after one warm-up round
 BITS = 4
 N = 2
-RESULTS = []
-
-
-def weight_matrix(side, seed=7, outlier_cols=8, outlier_scale=20.0):
-    rng = np.random.default_rng([seed, 0])
-    m = rng.standard_normal((side, side), dtype=np.float32)
-    m[:, rng.choice(side, size=outlier_cols, replace=False)] *= outlier_scale
-    return m
-
-
-def record(benchmark, case, shape, bits=None):
-    if benchmark.disabled:
-        return
-    stats = benchmark.stats.stats
-    RESULTS.append(
-        {
-            "case": case,
-            "shape": list(shape),
-            "bits": bits,
-            "n": N,
-            "rounds": stats.rounds,
-            "min_s": stats.min,
-            "median_s": stats.median,
-        }
-    )
+BENCH = benchlib.BenchFile("split")
 
 
 @pytest.fixture(scope="module", autouse=True)
 def bench_file():
     yield
-    if not RESULTS:
-        return
-    out = Path(os.environ.get("BENCH_OUT", ROOT / "BENCH_split.json"))
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.setdefault("topic", "split")
-    doc.setdefault("harness", "bench/bench_split.py")
-    doc.setdefault("runs", {})[os.environ.get("BENCH_LABEL", "current")] = {
-        "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
-        "numpy": np.__version__,
-        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        "cases": RESULTS,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
+    BENCH.write()
 
 
 @pytest.fixture(scope="module")
 def m4096():
-    return weight_matrix(4096)
+    return benchlib.weight_matrix(4096, 4096)
 
 
 def run(benchmark, fn):
@@ -90,11 +46,11 @@ def run(benchmark, fn):
 
 @pytest.mark.parametrize("side", [2048, 4096])
 def test_decompose(benchmark, side, m4096):
-    m = m4096 if side == 4096 else weight_matrix(side)
+    m = m4096 if side == 4096 else benchlib.weight_matrix(side, side)
     plan = mpo.plan_shapes(side, side, N)
     chain = run(benchmark, lambda: mpo.decompose(m, plan))
     assert chain.bond_dims == plan.bond_dims()
-    record(benchmark, "mpo.decompose", m.shape)
+    BENCH.record(benchmark, "mpo.decompose", m.shape, bits=None, n=N)
 
 
 def test_quantize_rtn_core(benchmark, m4096):
@@ -102,7 +58,7 @@ def test_quantize_rtn_core(benchmark, m4096):
     assert core.shape == (64, 512, 512, 1)
     q = run(benchmark, lambda: quantize.quantize_rtn(core, BITS))
     assert q.count == core.size
-    record(benchmark, "quantize.quantize_rtn", core.shape, BITS)
+    BENCH.record(benchmark, "quantize.quantize_rtn", core.shape, bits=BITS, n=N)
 
 
 def test_cli_quantize(benchmark, m4096, tmp_path):
@@ -116,4 +72,4 @@ def test_cli_quantize(benchmark, m4096, tmp_path):
             return cli.main(argv)
 
     assert run(benchmark, quantize_file) == 0
-    record(benchmark, "cli.main quantize", m4096.shape, BITS)
+    BENCH.record(benchmark, "cli.main quantize", m4096.shape, bits=BITS, n=N)

@@ -16,73 +16,28 @@ into BENCH_unpack.json at the checkout root (or $BENCH_OUT) under the label
 $BENCH_LABEL (default "current"), so runs of two checkouts can share a file.
 """
 
-import json
-import os
-import platform
-from pathlib import Path
+import benchlib  # first: it pins BLAS to one thread before numpy loads
+import numpy as np
+import pytest
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+from dquant import compress, quantize
 
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
-
-from dquant import compress, quantize  # noqa: E402
-
-ROOT = Path(__file__).resolve().parents[1]
 TILE_ROUNDS, TILE_ITERATIONS = 50, 100  # a tile takes microseconds
 GEMM_ROUNDS = 20
 BITS = 4
 N = 2
-RESULTS = []
-
-
-def weight_matrix(rows, cols, seed=7, outlier_cols=8, outlier_scale=20.0):
-    rng = np.random.default_rng([seed, 0])
-    m = rng.standard_normal((rows, cols), dtype=np.float32)
-    m[:, rng.choice(cols, size=outlier_cols, replace=False)] *= outlier_scale
-    return m
-
-
-def record(benchmark, case, shape, bits, n=None, p=None):
-    if benchmark.disabled:
-        return
-    stats = benchmark.stats.stats
-    RESULTS.append(
-        {
-            "case": case,
-            "shape": list(shape),
-            "bits": bits,
-            "n": n,
-            "p": p,
-            "rounds": stats.rounds,
-            "min_s": stats.min,
-            "median_s": stats.median,
-        }
-    )
+BENCH = benchlib.BenchFile("unpack")
 
 
 @pytest.fixture(scope="module", autouse=True)
 def bench_file():
     yield
-    if not RESULTS:
-        return
-    out = Path(os.environ.get("BENCH_OUT", ROOT / "BENCH_unpack.json"))
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.setdefault("topic", "unpack")
-    doc.setdefault("harness", "bench/bench_unpack.py")
-    doc.setdefault("runs", {})[os.environ.get("BENCH_LABEL", "current")] = {
-        "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
-        "numpy": np.__version__,
-        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        "cases": RESULTS,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
+    BENCH.write()
 
 
 @pytest.fixture(scope="module")
 def w2048():
-    return compress.deco_quantize(weight_matrix(2048, 2048), BITS, N)
+    return compress.deco_quantize(benchlib.weight_matrix(2048, 2048), BITS, N)
 
 
 @pytest.mark.parametrize("bits", quantize.SUPPORTED_BITS)
@@ -100,7 +55,9 @@ def test_unpack_range_tile(benchmark, bits):
         warmup_rounds=1,
     )
     np.testing.assert_array_equal(tile, codes[start : start + count])
-    record(benchmark, "quantize.unpack_range", (count,), bits)
+    BENCH.record(
+        benchmark, "quantize.unpack_range", (count,), bits=bits, n=None, p=None
+    )
 
 
 @pytest.mark.parametrize("p", [1, 64])
@@ -110,14 +67,14 @@ def test_fused_matmul(benchmark, w2048, p):
         compress.fused_matmul, args=(x, w2048), rounds=GEMM_ROUNDS, warmup_rounds=1
     )
     assert y.shape == (p, 2048)
-    record(benchmark, "compress.fused_matmul", (2048, 2048), BITS, N, p)
+    BENCH.record(benchmark, "compress.fused_matmul", (2048, 2048), bits=BITS, n=N, p=p)
 
 
 def test_fused_matmul_t_segment(benchmark):
-    seg = compress.deco_quantize(weight_matrix(2048, 128), BITS, N)
+    seg = compress.deco_quantize(benchlib.weight_matrix(2048, 128), BITS, N)
     q = np.random.default_rng([7, 1]).standard_normal((1, 128), dtype=np.float32)
     s = benchmark.pedantic(
         compress.fused_matmul_t, args=(q, seg), rounds=GEMM_ROUNDS, warmup_rounds=1
     )
     assert s.shape == (1, 2048)
-    record(benchmark, "compress.fused_matmul_t", (2048, 128), BITS, N, 1)
+    BENCH.record(benchmark, "compress.fused_matmul_t", (2048, 128), bits=BITS, n=N, p=1)

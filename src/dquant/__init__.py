@@ -6,8 +6,10 @@ first core stays at full precision. The plan keeps that first core to at
 most 1/64 of the matrix's values, and a gauge sweep before packing
 rescales every bond row of the packed cores to the full code range,
 moving the factors into the first core, which so absorbs the wide values.
-Reads either rebuild the matrix or stream the packed cores tile-by-tile
-through fused multiplies.
+Factorized and compressed matrices are the one chain type, MpoChain, whose
+cores are float32 arrays or packed QuantizedTensors; QuantizedMpo is
+another name for it. Reads either rebuild the matrix or stream the packed
+cores tile-by-tile through fused multiplies.
 """
 
 from .analysis import (

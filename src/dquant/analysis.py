@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mpo
-from .compress import QuantizedMpo, deco_dequantize, factorize
+from .compress import deco_dequantize, factorize
 from .errors import EmptyInput, ShapeMismatch
 from .quantize import dequantize, quantize_rtn
 
@@ -193,7 +193,7 @@ def _quantize_cores(chain: mpo.MpoChain, bits: int, skip_first: bool) -> np.ndar
         t if k == 0 and skip_first else quantize_rtn(t, bits)
         for k, t in enumerate(chain.local_tensors)
     )
-    return deco_dequantize(QuantizedMpo(chain.plan(), bits, cores))
+    return deco_dequantize(mpo.MpoChain(cores, bits))
 
 
 def _chain_overhead(chain: mpo.MpoChain) -> float:

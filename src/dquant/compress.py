@@ -2,8 +2,9 @@
 
 A matrix is tensor-train factorized, every core except the first (the
 small one, which absorbs the wide values) is quantized to B-bit integers,
-and the first core stays at full precision. Two rules make that split
-work:
+and the first core stays at full precision. The result is an mpo.MpoChain
+with bits set, its packed cores QuantizedTensors (QuantizedMpo names the
+same class). Two rules make that split work:
 
 * Plan: the first core is kept small. Starting from mpo.plan_shapes, the
   larger first-position factor steps down through the divisors of its
@@ -65,46 +66,7 @@ class WorkingSetMeter:
             self.peak_elements = n_elements
 
 
-@dataclass(frozen=True)
-class QuantizedMpo:
-    """A core chain; deco_quantize packs all cores but the first, reads take any mix."""
-
-    plan: mpo.ShapePlan
-    bits: int
-    local_tensors: tuple  # np.ndarray (full precision) or QuantizedTensor
-
-    def __post_init__(self):
-        shapes = [t.shape for t in self.local_tensors]
-        if len(shapes) != self.plan.n:
-            raise ShapeMismatch("chain length disagrees with plan")
-        for k, s in enumerate(shapes):
-            if len(s) != 4:
-                raise ShapeMismatch(f"core {k} has shape {s}, expected 4 axes")
-            expected = (
-                1 if k == 0 else shapes[k - 1][3],
-                self.plan.i_factors[k],
-                self.plan.j_factors[k],
-            )
-            if tuple(s[:3]) != expected or (k == len(shapes) - 1 and s[3] != 1):
-                raise ShapeMismatch(f"core {k} has shape {s}, expected {expected}")
-
-    @property
-    def rows(self) -> int:
-        return self.plan.rows
-
-    @property
-    def cols(self) -> int:
-        return self.plan.cols
-
-    @property
-    def quantized_locals(self) -> tuple:
-        return tuple(t for t in self.local_tensors if isinstance(t, QuantizedTensor))
-
-    @property
-    def fp_locals(self) -> tuple:
-        return tuple(
-            t for t in self.local_tensors if not isinstance(t, QuantizedTensor)
-        )
+QuantizedMpo = mpo.MpoChain  # the name the package has exported for a packed chain
 
 
 @dataclass(frozen=True)
@@ -158,7 +120,7 @@ def factorize(m: np.ndarray, n: int = 2) -> mpo.MpoChain:
     return chain
 
 
-def deco_quantize(m: np.ndarray, bits: int, n: int = 2) -> QuantizedMpo:
+def deco_quantize(m: np.ndarray, bits: int, n: int = 2) -> mpo.MpoChain:
     """Factorize and quantize every core except the first.
 
     The plan and gauge follow the module rules: the full-precision first
@@ -168,10 +130,10 @@ def deco_quantize(m: np.ndarray, bits: int, n: int = 2) -> QuantizedMpo:
     chain = factorize(m, n)
     cores = [chain.local_tensors[0]]
     cores += [quantize_rtn(t, bits) for t in chain.local_tensors[1:]]
-    return QuantizedMpo(plan=chain.plan(), bits=bits, local_tensors=tuple(cores))
+    return mpo.MpoChain(tuple(cores), bits)
 
 
-def deco_dequantize(q: QuantizedMpo) -> np.ndarray:
+def deco_dequantize(q: mpo.MpoChain) -> np.ndarray:
     """Recover the full-precision matrix (reference path, materializes)."""
     cores = [
         dequantize(t) if isinstance(t, QuantizedTensor) else t
@@ -202,7 +164,7 @@ def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter):
             yield rs, cs, tile.reshape(h, -1)
 
 
-def fused_matmul(x: np.ndarray, q: QuantizedMpo, meter: WorkingSetMeter = None):
+def fused_matmul(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
     """x @ W for the compressed matrix W, streaming the packed cores.
 
     Sweeps the chain left to right: the full-precision first core is
@@ -241,7 +203,7 @@ def fused_matmul(x: np.ndarray, q: QuantizedMpo, meter: WorkingSetMeter = None):
     return np.ascontiguousarray(cur.reshape(p, q.cols).astype(np.float32))
 
 
-def fused_matmul_t(x: np.ndarray, q: QuantizedMpo, meter: WorkingSetMeter = None):
+def fused_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
     """x @ W.T, streaming the packed cores (right-to-left sweep).
 
     Needed by attention reads (q_row @ K.T). Same working-set contract as
@@ -283,7 +245,7 @@ def fused_matmul_t(x: np.ndarray, q: QuantizedMpo, meter: WorkingSetMeter = None
     return np.ascontiguousarray(cur.reshape(q.rows, p).T.astype(np.float32))
 
 
-def compression_report(q: QuantizedMpo) -> CompressionReport:
+def compression_report(q: mpo.MpoChain) -> CompressionReport:
     """Bit-weighted size of the stored cores over the 16-bit original."""
     n_quant = sum(t.count for t in q.quantized_locals)
     n_fp = sum(t.size for t in q.fp_locals)

@@ -20,6 +20,9 @@ DQZ1 (compressed chain):
     bits      u8
     flags     n * u8   1 = core is packed, 0 = full precision
     bodies scroll     each core as a DQT1 body (everything after the magic)
+
+The DQZ1 reader checks the cores' bonds through mpo.MpoChain, then the
+header's factor lists against the cores' plan; a mismatch is MalformedFile.
 """
 
 import io
@@ -27,9 +30,8 @@ import struct
 
 import numpy as np
 
-from .compress import QuantizedMpo
 from .errors import MalformedFile
-from .mpo import ShapePlan
+from .mpo import MpoChain
 from .quantize import QuantizedTensor, payload_size
 
 TENSOR_MAGIC = b"DQT1"
@@ -121,7 +123,7 @@ def read_tensor(path):
         return t
 
 
-def write_mpo(path, q: QuantizedMpo):
+def write_mpo(path, q: MpoChain):
     """Write a compressed chain as a DQZ1 file."""
     with open(path, "wb") as f:
         f.write(MPO_MAGIC)
@@ -138,8 +140,8 @@ def write_mpo(path, q: QuantizedMpo):
             _write_tensor_body(f, t)
 
 
-def read_mpo(path) -> QuantizedMpo:
-    """Read a DQZ1 file back into a QuantizedMpo."""
+def read_mpo(path) -> MpoChain:
+    """Read a DQZ1 file back into an MpoChain; the header plan must match the cores."""
     with open(path, "rb") as f:
         if _read_exact(f, 4, "magic") != MPO_MAGIC:
             raise MalformedFile("not a DQZ1 file")
@@ -162,10 +164,12 @@ def read_mpo(path) -> QuantizedMpo:
                 raise MalformedFile(f"core {k} is {t.bits}-bit, header says {bits}")
             cores.append(t)
         _expect_eof(f, "chain payload")
-        try:
-            plan = ShapePlan(
-                tuple(int(x) for x in i_factors), tuple(int(x) for x in j_factors)
-            )
-            return QuantizedMpo(plan=plan, bits=int(bits), local_tensors=tuple(cores))
-        except ValueError as exc:
-            raise MalformedFile(str(exc)) from exc
+    try:
+        chain = MpoChain(tuple(cores), int(bits))
+    except ValueError as exc:
+        raise MalformedFile(str(exc)) from exc
+    if (chain.plan.i_factors, chain.plan.j_factors) != (i_factors, j_factors):
+        raise MalformedFile(
+            f"header plan {i_factors} x {j_factors} disagrees with the cores"
+        )
+    return chain

@@ -28,7 +28,6 @@ from statistics import median
 import numpy as np
 
 from .compress import (
-    QuantizedMpo,
     compression_report,
     deco_dequantize,
     deco_quantize,
@@ -41,6 +40,7 @@ from .errors import (
     LayerOutOfRange,
     ShapeMismatch,
 )
+from .mpo import MpoChain
 from .quantize import SUPPORTED_BITS, UnsupportedBits
 
 TRACE_COLUMNS = (
@@ -88,7 +88,7 @@ class MemoryLedger:
 
 def _stored_bytes(part) -> int:
     """Bytes a segment or tail part occupies at the 16-bit baseline."""
-    if isinstance(part, QuantizedMpo):
+    if isinstance(part, MpoChain):
         return compression_report(part).bytes_compressed
     return part.size * 2
 
@@ -98,7 +98,7 @@ class LayerCache:
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self.key_segments = []  # QuantizedMpo (or ndarray in fp mode)
+        self.key_segments = []  # packed MpoChain (or ndarray in fp mode)
         self.value_segments = []
         self.key_segment_bytes = []  # stored bytes of each segment, counted once
         self.value_segment_bytes = []
@@ -201,7 +201,7 @@ class KvCache:
     def _read(self, parts: list, stored_bytes: int) -> np.ndarray:
         self.bytes_moved_read += stored_bytes
         return np.concatenate(
-            [deco_dequantize(p) if isinstance(p, QuantizedMpo) else p for p in parts],
+            [deco_dequantize(p) if isinstance(p, MpoChain) else p for p in parts],
             axis=0,
         )
 
@@ -224,7 +224,7 @@ class KvCache:
         scores = np.concatenate(
             [
                 fused_matmul_t(q_row, p)
-                if isinstance(p, QuantizedMpo)
+                if isinstance(p, MpoChain)
                 else (q64 @ p.astype(np.float64).T).astype(np.float32)
                 for p in lc.key_parts()
             ],

@@ -15,6 +15,10 @@ input. Bond dimensions follow
 
 and the factorization is exact up to float32 round-off.
 
+MpoChain is the one chain type: decompose returns float32 cores, and
+compress.deco_quantize packs all but the first. Its constructor is the
+only check of a chain's shape, for every caller, the DQZ1 reader included.
+
 No SVD fallback is needed for rank-deficient or ill-conditioned input:
 eigh returns an orthonormal u even for a singular Gram matrix, so
 u @ u.T @ a = a to round-off whatever the rank. Because s is measured on
@@ -26,12 +30,13 @@ to about sqrt(eps) * s_1 in absolute terms, which does not affect the
 product.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
 
 from .errors import BondMismatch, NonFiniteInput, ShapeMismatch
+from .quantize import QuantizedTensor
 
 FACTOR_CAP = 8
 
@@ -112,18 +117,29 @@ def plan_shapes(rows: int, cols: int, n: int = 2) -> ShapePlan:
 
 @dataclass(frozen=True)
 class MpoChain:
-    """Ordered 4-D cores [d_{k-1}, i_k, j_k, d_k] with d_0 = d_n = 1."""
+    """Ordered 4-D cores [d_{k-1}, i_k, j_k, d_k] with d_0 = d_n = 1.
+
+    Each core is a float32 array or a packed QuantizedTensor; `bits` is the
+    packed cores' width (None when none is packed). The constructor checks
+    the shape (at least two 4-axis cores, outer bonds 1, adjacent bonds
+    equal) and reads `plan` off the cores once.
+    """
 
     local_tensors: tuple
+    bits: int = None
+    plan: ShapePlan = field(init=False)
 
     def __post_init__(self):
-        cores = tuple(np.asarray(t, dtype=np.float32) for t in self.local_tensors)
+        cores = tuple(
+            t if isinstance(t, QuantizedTensor) else np.asarray(t, dtype=np.float32)
+            for t in self.local_tensors
+        )
         object.__setattr__(self, "local_tensors", cores)
-        if not cores:
-            raise BondMismatch("chain must contain at least one core")
-        for t in cores:
-            if t.ndim != 4:
-                raise BondMismatch(f"cores must be 4-D, got shape {t.shape}")
+        if len(cores) < 2:
+            raise BondMismatch(f"a chain needs at least two cores, got {len(cores)}")
+        for k, t in enumerate(cores):
+            if len(t.shape) != 4:
+                raise BondMismatch(f"core {k} has shape {t.shape}, expected 4 axes")
         if cores[0].shape[0] != 1 or cores[-1].shape[3] != 1:
             raise BondMismatch("outer bond dimensions must be 1")
         for a, b in zip(cores, cores[1:]):
@@ -131,6 +147,10 @@ class MpoChain:
                 raise BondMismatch(
                     f"adjacent bonds disagree: {a.shape[3]} vs {b.shape[0]}"
                 )
+        plan = ShapePlan(
+            tuple(t.shape[1] for t in cores), tuple(t.shape[2] for t in cores)
+        )
+        object.__setattr__(self, "plan", plan)
 
     @property
     def n(self) -> int:
@@ -138,20 +158,24 @@ class MpoChain:
 
     @property
     def rows(self) -> int:
-        return prod(t.shape[1] for t in self.local_tensors)
+        return self.plan.rows
 
     @property
     def cols(self) -> int:
-        return prod(t.shape[2] for t in self.local_tensors)
+        return self.plan.cols
 
     @property
     def bond_dims(self) -> tuple:
         return tuple(t.shape[3] for t in self.local_tensors[:-1])
 
-    def plan(self) -> ShapePlan:
-        return ShapePlan(
-            tuple(t.shape[1] for t in self.local_tensors),
-            tuple(t.shape[2] for t in self.local_tensors),
+    @property
+    def quantized_locals(self) -> tuple:
+        return tuple(t for t in self.local_tensors if isinstance(t, QuantizedTensor))
+
+    @property
+    def fp_locals(self) -> tuple:
+        return tuple(
+            t for t in self.local_tensors if not isinstance(t, QuantizedTensor)
         )
 
 

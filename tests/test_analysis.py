@@ -188,27 +188,28 @@ class TestDecompositionComparison:
 
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_baselines_match_numpy_reference(self, bits):
-        suite = small_suite(2)
-        expected = {}
-        for seed, m in enumerate(suite):
-            m64 = m.astype(np.float64)
-            u, s, vt = np.linalg.svd(m64, full_matrices=False)
-            root = np.sqrt(s)
-            for method, (a, b) in (
-                (METHOD_SVD, (u * root, root[:, None] * vt)),
-                (METHOD_QR, np.linalg.qr(m64, mode="reduced")),
-            ):
-                rec, _ = _quantize_larger(m, a, b, bits)
-                expected[seed, method] = np.linalg.norm(m64 - rec)
-        records = decomposition_comparison(suite, bits=bits)
-        checked = 0
-        for r in records:
-            if r.method in (METHOD_SVD, METHOD_QR):
-                assert r.frobenius_error == pytest.approx(
-                    expected[r.seed, r.method], rel=1e-5
-                )
-                checked += 1
-        assert checked == 2 * len(suite)
+        # square inputs tie and quantize b; tall ones make a the larger factor
+        for suite in (small_suite(2), small_suite(2, 160, 96)):
+            expected = {}
+            for seed, m in enumerate(suite):
+                m64 = m.astype(np.float64)
+                u, s, vt = np.linalg.svd(m64, full_matrices=False)
+                root = np.sqrt(s)
+                for method, (a, b) in (
+                    (METHOD_SVD, (u * root, root[:, None] * vt)),
+                    (METHOD_QR, np.linalg.qr(m64, mode="reduced")),
+                ):
+                    rec, _ = _quantize_larger(m, a, b, bits)
+                    expected[seed, method] = np.linalg.norm(m64 - rec)
+            records = decomposition_comparison(suite, bits=bits)
+            checked = 0
+            for r in records:
+                if r.method in (METHOD_SVD, METHOD_QR):
+                    assert r.frobenius_error == pytest.approx(
+                        expected[r.seed, r.method], rel=1e-5
+                    )
+                    checked += 1
+            assert checked == 2 * len(suite)
 
     def test_chain_wins_on_suite(self):
         med = median_by(decomposition_comparison(small_suite(6), bits=4))

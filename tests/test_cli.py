@@ -7,7 +7,8 @@ import pytest
 import dquant
 from dquant import analysis, compression_report, deco_quantize, synth_activations
 from dquant.cli import main
-from dquant.formats import read_tensor, write_mpo, write_tensor
+from dquant.errors import MalformedFile
+from dquant.formats import read_mpo, read_tensor, write_mpo, write_tensor
 
 
 def run(capsys, *argv):
@@ -138,6 +139,18 @@ def test_dequantize_bits_byte_disagrees(tmp_path, capsys):
     assert "header says 8" in err
 
 
+def test_dequantize_header_plan_disagrees(tmp_path, capsys):
+    # the header's i_factors (1, 16) patched to (16, 1); the cores still give (1, 16)
+    src = write_dqz_patched(tmp_path, lambda n0: 4 + 2, struct.pack("<2Q", 16, 1))
+    with pytest.raises(MalformedFile, match="disagree"):
+        read_mpo(src)
+    out = tmp_path / "back.dqt"
+    code, _, err = run(capsys, "dequantize", "--input", src, "--out", str(out))
+    assert code == 2
+    assert "disagree" in err
+    assert not out.exists()
+
+
 def test_dequantize_core_not_4d(tmp_path, capsys):
     # the packed core (2, 16, 8, 1) of the 16x16 chain, stored as (2, 16, 8)
     q = deco_quantize(np.random.default_rng(4).standard_normal((16, 16)), 4)
@@ -177,41 +190,33 @@ def test_analyze_outliers_constant_tensor(tmp_path, capsys):
     assert summary["iqr_matrix"] == summary["iqr_t_large"] == 0.0
 
 
-def test_bench_strategies_row_count(tmp_path, capsys):
-    csv_path = tmp_path / "errors.csv"
-    code, out, _ = run(
-        capsys,
-        "bench",
-        "--experiment",
-        "strategies",
-        "--bits",
-        "4,8",
-        "--seeds",
-        "2",
-        "--csv",
-        str(csv_path),
-    )
-    assert code == 0
-    summary = json.loads(out)
-    assert summary["rows"] == 3 * 2 * 2  # methods x bits x seeds
-    lines = csv_path.read_text().splitlines()
-    assert len(lines) == 1 + summary["rows"]
+BENCH_ROWS = {  # experiment: --bits, --seeds, rows
+    "strategies": ("4,8", 2, 3 * 2 * 2),  # methods x bits x seeds
+    "lengths": ("4", 1, 3),  # n = 2, 3, 4 for one seed
+    "decompositions": ("4", 1, 3),  # chain, SVD and QR for one seed
+}
 
 
-def test_bench_decompositions_row_count(tmp_path, capsys):
+@pytest.mark.parametrize("experiment", BENCH_ROWS)
+def test_bench_row_count(tmp_path, capsys, experiment):
+    bits, seeds, rows = BENCH_ROWS[experiment]
     csv_path = tmp_path / "errors.csv"
     code, out, _ = run(
-        capsys, "bench", "--experiment", "decompositions", "--bits", "4",
-        "--seeds", "1", "--csv", str(csv_path),
+        capsys, "bench", "--experiment", experiment, "--bits", bits,
+        "--seeds", str(seeds), "--csv", str(csv_path),
     )
     assert code == 0
-    assert json.loads(out)["rows"] == 3  # chain, SVD and QR for one seed
-    assert len(csv_path.read_text().splitlines()) == 1 + 3
+    assert json.loads(out)["rows"] == rows
+    assert len(csv_path.read_text().splitlines()) == 1 + rows
 
 
 def test_every_export_resolves():
     missing = [name for name in dquant.__all__ if not hasattr(dquant, name)]
     assert missing == []
+
+
+def test_quantized_mpo_is_the_chain_type():
+    assert dquant.QuantizedMpo is dquant.MpoChain
 
 
 def test_bench_unknown_experiment(tmp_path, capsys):

@@ -14,7 +14,7 @@ from dquant import (
     plan_shapes,
     synth_activations,
 )
-from dquant.compress import TILE_ELEMENTS, _tiles
+from dquant.compress import TILE_ELEMENTS, _tiles, factorize
 from dquant.errors import ShapeMismatch
 
 
@@ -69,6 +69,10 @@ class TestDecoQuantize:
         for shape in [(24, 56), (37, 41), (128, 64)]:
             q = deco_quantize(rand(shape, sum(shape)), 4)
             assert deco_dequantize(q).shape == shape
+
+    def test_factorize_rejects_a_vector(self):
+        with pytest.raises(ShapeMismatch):
+            factorize(rand((16,)))
 
     def test_deterministic_payloads(self):
         m = rand((96, 96), 5)
@@ -179,6 +183,8 @@ class TestFusedMatmul:
         q = deco_quantize(rand((16, 16)), 4)
         with pytest.raises(ShapeMismatch):
             fused_matmul(rand((2, 8)), q)
+        with pytest.raises(ShapeMismatch):
+            fused_matmul_t(rand((2, 8)), q)
 
 
 class TestCompressionReport:

@@ -77,6 +77,11 @@ class TestPrefill:
         with pytest.raises(LayerOutOfRange):
             cache.prefill(3, *kv(4, 8))
 
+    def test_dim_mismatch(self):
+        cache = KvCache(CacheConfig(layers=1, dim=8, bits=4))
+        with pytest.raises(DimMismatch):
+            cache.prefill(0, *kv(4, 6))
+
 
 class TestAppend:
     def test_trigger_law(self):
@@ -242,6 +247,12 @@ class TestAttentionScores:
         expected = float(q @ k_row) / np.sqrt(16)
         assert got.shape == (1, 1)
         assert got[0, 0] == pytest.approx(expected, rel=1e-5)
+
+    def test_query_dim_mismatch(self):
+        cache = KvCache(CacheConfig(layers=1, dim=8, bits=4))
+        cache.prefill(0, *kv(4, 8))
+        with pytest.raises(DimMismatch):
+            cache.attention_scores(0, np.zeros(6, np.float32))
 
 
 class TestSimulate:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dquant import MpoChain, ShapePlan, decompose, plan_shapes, reconstruct, split_large_small
 from dquant import deco_quantize
-from dquant.errors import BondMismatch, NonFiniteInput, ShapeMismatch
+from dquant.errors import BondMismatch, DquantError, NonFiniteInput, ShapeMismatch
 
 
 def rand(shape, seed=0):
@@ -149,6 +149,11 @@ class TestReconstruct:
             )
 
 
+    def test_one_core_chain(self):
+        with pytest.raises(DquantError):
+            MpoChain((np.zeros((1, 4, 4, 1), np.float32),))
+
+
 class TestSplitLargeSmall:
     def test_typical(self):
         chain = MpoChain(
@@ -171,6 +176,11 @@ class TestSplitLargeSmall:
         chain = decompose(np.ones((1, 1), np.float32), plan_shapes(1, 1, 2))
         large, _ = split_large_small(chain)
         assert large is chain.local_tensors[1]
+
+    def test_rejects_length_three(self):
+        chain = decompose(rand((8, 8), 5), plan_shapes(8, 8, 3))
+        with pytest.raises(ShapeMismatch):
+            split_large_small(chain)
 
 
 def unfold(m, plan):
