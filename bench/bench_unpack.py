@@ -8,8 +8,9 @@ test_*.py, so the tier-1 suite does not collect it):
 Cases, at fixed seeds: one 4096-code unpack_range tile (the default int8
 codes) at 2, 4 and 8 bits; fused_matmul on a compressed 2048^2 matrix
 (b4, n=2, 8 outlier columns x20, as in the gemv-2048 workload at seed 7)
-at p=1 and p=64; and fused_matmul_t at p=1 on a 2048x128 b4 segment, the
-attention_scores read of the kv-decode workload.
+at p=1 and p=64; and, on a 2048x128 b4 segment, fused_matmul_t at p=1 (the
+attention_scores read of the kv-decode workload) and deco_dequantize (its
+read_values rebuild).
 
 Shape, bits, p and the min and median wall time of each case are merged
 into BENCH_unpack.json at the checkout root (or $BENCH_OUT) under the label
@@ -70,11 +71,25 @@ def test_fused_matmul(benchmark, w2048, p):
     BENCH.record(benchmark, "compress.fused_matmul", (2048, 2048), bits=BITS, n=N, p=p)
 
 
-def test_fused_matmul_t_segment(benchmark):
-    seg = compress.deco_quantize(benchlib.weight_matrix(2048, 128), BITS, N)
+@pytest.fixture(scope="module")
+def segment():
+    return compress.deco_quantize(benchlib.weight_matrix(2048, 128), BITS, N)
+
+
+def test_fused_matmul_t_segment(benchmark, segment):
     q = np.random.default_rng([7, 1]).standard_normal((1, 128), dtype=np.float32)
     s = benchmark.pedantic(
-        compress.fused_matmul_t, args=(q, seg), rounds=GEMM_ROUNDS, warmup_rounds=1
+        compress.fused_matmul_t, args=(q, segment), rounds=GEMM_ROUNDS, warmup_rounds=1
     )
     assert s.shape == (1, 2048)
     BENCH.record(benchmark, "compress.fused_matmul_t", (2048, 128), bits=BITS, n=N, p=1)
+
+
+def test_deco_dequantize_segment(benchmark, segment):
+    m = benchmark.pedantic(
+        compress.deco_dequantize, args=(segment,), rounds=GEMM_ROUNDS, warmup_rounds=1
+    )
+    assert m.shape == (2048, 128)
+    BENCH.record(
+        benchmark, "compress.deco_dequantize", (2048, 128), bits=BITS, n=N, p=None
+    )

@@ -27,6 +27,9 @@ def weight_matrix(rows, cols, seed=7, outlier_cols=8, outlier_scale=20.0):
     return m
 
 
+TIMINGS = ("rounds", "min_s", "median_s")  # what BenchFile.record measures
+
+
 class BenchFile:
     """The cases one harness times, merged into BENCH_<topic>.json on write."""
 
@@ -48,18 +51,34 @@ class BenchFile:
         """Merge the cases into $BENCH_OUT (default BENCH_<topic>.json at the root).
 
         They go under the label $BENCH_LABEL (default "current"), so runs of
-        two checkouts can share a file. Writes nothing if no case was timed.
+        two checkouts can share a file, and so can two harnesses: a case
+        replaces only the stored case it repeats (same name and parameters),
+        and "topic" / "harness" list every topic the file holds cases of.
+        Writes nothing if no case was timed.
         """
         if not self.cases:
             return
         out = Path(os.environ.get("BENCH_OUT", ROOT / f"BENCH_{self.topic}.json"))
         doc = json.loads(out.read_text()) if out.exists() else {}
-        doc.setdefault("topic", self.topic)
-        doc.setdefault("harness", f"bench/bench_{self.topic}.py")
-        doc.setdefault("runs", {})[os.environ.get("BENCH_LABEL", "current")] = {
+        topics = doc.get("topic", self.topic).split("+")
+        if self.topic not in topics:
+            topics.append(self.topic)
+        doc["topic"] = "+".join(topics)
+        doc["harness"] = "+".join(f"bench/bench_{t}.py" for t in topics)
+        runs = doc.setdefault("runs", {})
+        label = os.environ.get("BENCH_LABEL", "current")
+        stored = runs.get(label, {}).get("cases", [])
+        fresh = {_case_key(c) for c in self.cases}
+        runs[label] = {
             "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
             "numpy": np.__version__,
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-            "cases": self.cases,
+            "cases": [c for c in stored if _case_key(c) not in fresh] + self.cases,
         }
         out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def _case_key(case):
+    """A case's name and parameters: everything but its timings."""
+    params = {k: v for k, v in case.items() if k not in TIMINGS}
+    return json.dumps(params, sort_keys=True)

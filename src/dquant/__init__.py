@@ -9,7 +9,8 @@ moving the factors into the first core, which so absorbs the wide values.
 Factorized and compressed matrices are the one chain type, MpoChain, whose
 cores are float32 arrays or packed QuantizedTensors; QuantizedMpo is
 another name for it. Reads either rebuild the matrix or stream the packed
-cores tile-by-tile through fused multiplies.
+cores tile-by-tile through fused multiplies; both decode a packed core
+through its one table of code * scale values.
 """
 
 from .analysis import (

@@ -160,8 +160,8 @@ def default_suite(seeds=range(20), rows=512, cols=512, outlier_cols=8, scale=20.
     ]
 
 
-def migration_report(m: np.ndarray, plan: mpo.ShapePlan = None):
-    """IQR stats for the matrix and both cores of its length-2 chain.
+def migration_report(m: np.ndarray):
+    """IQR stats for the matrix and both cores of its plan_shapes length-2 chain.
 
     Returns (matrix_stats, large_stats, small_stats). On outlier-heavy
     inputs the large core's IQR collapses far below the matrix IQR while
@@ -170,9 +170,7 @@ def migration_report(m: np.ndarray, plan: mpo.ShapePlan = None):
     m = np.asarray(m, dtype=np.float32)
     if m.ndim != 2:
         raise ShapeMismatch("migration_report expects a matrix")
-    if plan is None:
-        plan = mpo.plan_shapes(m.shape[0], m.shape[1], 2)
-    chain = mpo.decompose(m, plan)
+    chain = mpo.decompose(m, mpo.plan_shapes(m.shape[0], m.shape[1], 2))
     large, small = mpo.split_large_small(chain)
     return iqr_stats(m), iqr_stats(large), iqr_stats(small)
 

@@ -27,11 +27,10 @@ Either way a tile is one contiguous range of the payload, and the transient
 dequantized buffer never exceeds TILE_ELEMENTS values.
 
 A tile is dequantized by one gather: unpack_range looks each payload byte
-up in the core's table CODE_TABLES[bits] * scale (float64, built once per
+up in the core's value_table() (code * scale in float64, built once per
 core), so no code array is made and no per-tile scaling pass runs. The
-result is bit-for-bit the codes cast to float64 and then scaled, because
-that product is exact: a code of at most 8 bits times the float32 scale's
-24-bit significand needs at most 32 of float64's 53 bits.
+rebuild decodes through the same table (see the quantize docstring), so
+deco_dequantize holds exactly the values fused_matmul multiplies.
 """
 
 from dataclasses import dataclass
@@ -41,13 +40,7 @@ import numpy as np
 
 from . import mpo
 from .errors import ShapeMismatch
-from .quantize import (
-    CODE_TABLES,
-    QuantizedTensor,
-    dequantize,
-    quantize_rtn,
-    unpack_range,
-)
+from .quantize import QuantizedTensor, quantize_rtn, unpack_range
 
 TILE_ELEMENTS = 64 * 64
 FP_CORE_SHARE = 64  # the first core holds at most 1/64 of the matrix's values
@@ -135,11 +128,7 @@ def deco_quantize(m: np.ndarray, bits: int, n: int = 2) -> mpo.MpoChain:
 
 def deco_dequantize(q: mpo.MpoChain) -> np.ndarray:
     """Recover the full-precision matrix (reference path, materializes)."""
-    cores = [
-        dequantize(t) if isinstance(t, QuantizedTensor) else t
-        for t in q.local_tensors
-    ]
-    return mpo.reconstruct(mpo.MpoChain(tuple(cores)))
+    return mpo.reconstruct(q)
 
 
 def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter):
@@ -149,7 +138,7 @@ def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter):
     pieces of one row: each tile is one contiguous unpack_range, gathered
     through the core's table of code * scale.
     """
-    table = CODE_TABLES[qt.bits] * np.float64(qt.scale)
+    table = qt.value_table()
     height = max(1, TILE_ELEMENTS // cols)
     width = min(cols, TILE_ELEMENTS)
     pieces = [slice(c0, min(cols, c0 + width)) for c0 in range(0, cols, width)]

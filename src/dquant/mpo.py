@@ -244,23 +244,23 @@ def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
 
 
 def reconstruct(chain: MpoChain) -> np.ndarray:
-    """Contract the chain back to its matrix (float64 accumulation)."""
-    cores = [np.asarray(t, dtype=np.float64) for t in chain.local_tensors]
+    """Contract the chain back to its matrix (float64 accumulation).
+
+    Packed cores are decoded here, to their exact QuantizedTensor.values().
+    The product is cast to float32 once, as it is copied out of core order.
+    """
+    cores = [
+        t.values() if isinstance(t, QuantizedTensor) else np.asarray(t, np.float64)
+        for t in chain.local_tensors
+    ]
     cur = cores[0].reshape(-1, cores[0].shape[3])
     for t in cores[1:]:
         cur = (cur @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[3])
-    i_factors = [t.shape[1] for t in cores]
-    j_factors = [t.shape[2] for t in cores]
-    n = len(cores)
-    interleaved = []
-    for a, b in zip(i_factors, j_factors):
-        interleaved += [a, b]
-    full = cur.reshape(interleaved)
-    order = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    full = np.transpose(full, order)
-    return np.ascontiguousarray(
-        full.reshape(prod(i_factors), prod(j_factors)).astype(np.float32)
-    )
+    plan = chain.plan
+    out = np.empty((plan.rows, plan.cols), dtype=np.float32)
+    view = _interleave(out, plan.i_factors, plan.j_factors)
+    view[...] = cur.reshape(view.shape)
+    return out
 
 
 def split_large_small(chain: MpoChain):

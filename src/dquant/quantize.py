@@ -16,15 +16,19 @@ element order, two's complement within `bits` bits, little-endian bit
 order inside each byte - the earliest element occupies the lowest-order
 bits. Example at bits=4: values [1, -1] pack to the single byte 0xF1.
 
-Unpacking is a table lookup. CODE_TABLES[bits] is a read-only
-(256, 8 // bits) int8 table, built once: row b holds the codes packed in
-byte b, lowest-order lane first, so CODE_TABLES[4][0xF1] is [1, -1].
-Gathering its rows for a run of payload bytes and flattening them gives
-the codes in element order. unpack_range takes any table with 256 rows in
-this lane order, so a caller can gather decoded values in place of codes
-(the fused multiply gathers code * scale in float64). At 8 bits with no
-table the payload is already the int8 codes, and a copy of it is cheaper
-than a gather.
+Unpacking is a table lookup at every width. CODE_TABLES[bits] is a
+read-only (256, 8 // bits) int8 table, built once: row b holds the codes
+packed in byte b, lowest-order lane first, so CODE_TABLES[4][0xF1] is
+[1, -1]. Gathering its rows for a run of payload bytes and flattening them
+gives the codes in element order; unpack_range takes any table with 256
+rows in this lane order.
+
+Every read of a packed tensor gathers through one table of decoded values,
+QuantizedTensor.value_table() = CODE_TABLES[bits] * scale in float64: the
+fused tiles, mpo.reconstruct and dequantize (which casts to float32). Each
+entry is exact - a code of at most 8 bits times the float32 scale's 24-bit
+significand needs at most 32 of float64's 53 bits - so the float32 cast
+rounds once, as a float32 multiply of code and scale does.
 """
 
 from dataclasses import dataclass
@@ -76,6 +80,15 @@ class QuantizedTensor:
         """Unpacked signed codes in row-major order."""
         return unpack(self.payload, self.count, self.bits)
 
+    def value_table(self) -> np.ndarray:
+        """(256, 8 // bits) float64 table of code * scale, in CODE_TABLES order."""
+        return CODE_TABLES[self.bits] * np.float64(self.scale)
+
+    def values(self) -> np.ndarray:
+        """Exact float64 code * scale of every element, in the tensor's shape."""
+        chunk = np.frombuffer(self.payload, dtype=np.uint8)
+        return _gather(self.value_table(), chunk, 0, self.count).reshape(self.shape)
+
 
 def pack(values, bits: int) -> bytes:
     """Bit-pack small signed integers (low bits first within each byte).
@@ -106,7 +119,7 @@ def unpack(payload: bytes, count: int, bits: int) -> np.ndarray:
         raise CorruptPayload(
             f"payload is {len(payload)} bytes, expected {payload_size(count, bits)}"
         )
-    return _unpack_bytes(np.frombuffer(payload, dtype=np.uint8), count, bits, 0, None)
+    return _gather(CODE_TABLES[bits], np.frombuffer(payload, dtype=np.uint8), 0, count)
 
 
 def unpack_range(
@@ -118,8 +131,8 @@ def unpack_range(
     covering byte range is read. Each covering byte is looked up in
     `table`, a (256, 8 // bits) array in CODE_TABLES lane order; the
     default, CODE_TABLES[bits], gives int8 codes. The fused multiply
-    passes CODE_TABLES[bits] * scale, so each of its tiles is dequantized
-    by this one gather.
+    passes a core's value_table(), so each of its tiles is dequantized by
+    this one gather.
     """
     _check_bits(bits)
     per = 8 // bits
@@ -128,7 +141,13 @@ def unpack_range(
     if byte1 > len(payload) or start < 0 or count < 0:
         raise CorruptPayload("requested element range exceeds payload")
     chunk = np.frombuffer(payload, dtype=np.uint8, count=byte1 - byte0, offset=byte0)
-    return _unpack_bytes(chunk, count, bits, start - byte0 * per, table)
+    table = CODE_TABLES[bits] if table is None else table
+    return _gather(table, chunk, start - byte0 * per, count)
+
+
+def _gather(table, chunk, skip, count):
+    """Elements [skip, skip+count) of the table rows of the bytes in chunk."""
+    return np.take(table, chunk, axis=0).reshape(-1)[skip : skip + count]
 
 
 def _code_table(bits):
@@ -144,14 +163,6 @@ def _code_table(bits):
 
 
 CODE_TABLES = {bits: _code_table(bits) for bits in SUPPORTED_BITS}
-
-
-def _unpack_bytes(chunk, count, bits, skip, table):
-    if table is None:
-        if bits == 8:
-            return chunk[skip : skip + count].view(np.int8).copy()
-        table = CODE_TABLES[bits]
-    return np.take(table, chunk, axis=0).reshape(-1)[skip : skip + count]
 
 
 def quantize_rtn(t: np.ndarray, bits: int) -> QuantizedTensor:
@@ -187,6 +198,5 @@ def quantize_rtn(t: np.ndarray, bits: int) -> QuantizedTensor:
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
-    """Codes times scale, as float32, in the original shape."""
-    codes = unpack(q.payload, q.count, q.bits)
-    return (codes.astype(np.float32) * np.float32(q.scale)).reshape(q.shape)
+    """values() cast to float32: code * scale rounded once, in the tensor's shape."""
+    return q.values().astype(np.float32)

@@ -1,7 +1,10 @@
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,5 +21,44 @@ def test_harnesses_run_with_benchmarks_disabled(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "10 passed" in proc.stdout
+    assert "11 passed" in proc.stdout
     assert not out.exists()
+
+
+def timed(seconds):
+    """A stand-in for pytest-benchmark's fixture after a timed run."""
+    stats = SimpleNamespace(rounds=3, min=seconds, median=seconds)
+    return SimpleNamespace(disabled=False, stats=SimpleNamespace(stats=stats))
+
+
+def test_two_topics_share_one_file(tmp_path, monkeypatch):
+    out = tmp_path / "BENCH_both.json"
+    monkeypatch.setenv("BENCH_OUT", str(out))
+    monkeypatch.setenv("BENCH_LABEL", "one-label")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    path = ROOT / "bench" / "benchlib.py"
+    spec = importlib.util.spec_from_file_location("benchlib", path)
+    benchlib = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(benchlib)
+
+    def run(topic, case, seconds):
+        bench = benchlib.BenchFile(topic)
+        bench.record(timed(seconds), case, (4, 4), bits=4, n=2)
+        bench.write()
+        return json.loads(out.read_text())
+
+    run("split", "mpo.decompose", 1.0)
+    doc = run("unpack", "compress.fused_matmul", 2.0)
+    assert doc["topic"] == "split+unpack"
+    assert doc["harness"] == "bench/bench_split.py+bench/bench_unpack.py"
+    cases = doc["runs"]["one-label"]["cases"]
+    assert [(c["case"], c["min_s"]) for c in cases] == [
+        ("mpo.decompose", 1.0), ("compress.fused_matmul", 2.0)
+    ]
+    # a rerun replaces its own case and keeps the other topic's
+    doc = run("split", "mpo.decompose", 3.0)
+    assert doc["topic"] == "split+unpack"
+    cases = doc["runs"]["one-label"]["cases"]
+    assert sorted((c["case"], c["min_s"]) for c in cases) == [
+        ("compress.fused_matmul", 2.0), ("mpo.decompose", 3.0)
+    ]

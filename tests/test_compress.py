@@ -74,6 +74,24 @@ class TestDecoQuantize:
         with pytest.raises(ShapeMismatch):
             factorize(rand((16,)))
 
+    @pytest.mark.parametrize("shape,n", [((2048, 128), 2), ((120, 72), 3)])
+    def test_rebuild_contracts_the_decoded_cores_in_float64(self, shape, n):
+        # packed cores enter as code * float64(scale), the values the fused tiles hold
+        q = deco_quantize(rand(shape, 21), 4, n)
+        cores = [
+            t.codes().reshape(t.shape) * np.float64(t.scale)
+            if isinstance(t, QuantizedTensor)
+            else t.astype(np.float64)
+            for t in q.local_tensors
+        ]
+        cur = cores[0].reshape(-1, cores[0].shape[3])
+        for t in cores[1:]:
+            cur = (cur @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[3])
+        full = cur.reshape([f for t in cores for f in t.shape[1:3]])  # i1, j1, i2, ...
+        full = full.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+        want = full.reshape(shape).astype(np.float32)
+        assert deco_dequantize(q).tobytes() == want.tobytes()
+
     def test_deterministic_payloads(self):
         m = rand((96, 96), 5)
         a = deco_quantize(m, 4)

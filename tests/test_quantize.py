@@ -103,6 +103,31 @@ class TestDequantize:
             bound = np.abs(t).max() * (1 + 1 / (2 ** (bits - 1) - 1))
             assert np.abs(d).max() <= bound * (1 + 1e-6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(SUPPORTED_BITS),
+        st.data(),
+        st.one_of(
+            st.floats(min_value=0, max_value=2.0**-120, exclude_min=True, width=32),
+            st.floats(min_value=2.0**120, allow_infinity=False, width=32),
+            st.floats(min_value=0, exclude_min=True, allow_infinity=False, width=32),
+        ),
+    )
+    def test_is_the_float32_multiply(self, bits, data, scale):
+        # the exact float64 table value rounds once, as the float32 product does
+        qmax = 2 ** (bits - 1) - 1
+        shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 20)))
+        size = shape[0] * shape[1]
+        values = data.draw(
+            st.lists(st.integers(-qmax, qmax), min_size=size, max_size=size)
+        )
+        q = QuantizedTensor(shape, bits, float(scale), pack(values, bits))
+        with np.errstate(over="ignore"):  # near float32 max, both overflow to inf
+            want = (q.codes().astype(np.float32) * np.float32(q.scale)).reshape(q.shape)
+            got = dequantize(q)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
     def test_corrupt_payload(self):
         with pytest.raises(CorruptPayload):
             QuantizedTensor(shape=(2, 2), bits=4, scale=1.0, payload=b"\x00")
