@@ -23,14 +23,32 @@ packed payloads tile-by-tile (fused_matmul / fused_matmul_t) without ever
 materializing a dequantized core. A packed core is read as a (rows, cols)
 matrix; a tile is as many whole rows as fit in TILE_ELEMENTS (64*64) values,
 or, when one row is wider than that, a TILE_ELEMENTS-wide piece of one row.
-Either way a tile is one contiguous range of the payload, and the transient
-dequantized buffer never exceeds TILE_ELEMENTS values.
+Either way a tile is one contiguous range of the payload, gathered by one
+unpack_range of at most TILE_ELEMENTS values; WorkingSetMeter counts the
+elements of each such gather.
 
 A tile is dequantized by one gather: unpack_range looks each payload byte
 up in the core's value_table() (code * scale in float64, built once per
 core), so no code array is made and no per-tile scaling pass runs. The
 rebuild decodes through the same table (see the quantize docstring), so
 deco_dequantize holds exactly the values fused_matmul multiplies.
+
+fused_matmul has two contraction orders for x (p rows) @ W:
+
+* Sweep (any chain): left to right, x meets each core in turn, the packed
+  ones tile by tile. For W = C0 (1, i0, j0, d) C1 (d, i1, j1, 1) the packed
+  GEMM takes p * j0 operand rows through C1, p * |W| * d / i0 mult-adds.
+* Slab (n = 2, C1 packed, C0 full precision): C1 is walked as its d stacked
+  (i1, j1) matrices with the tile geometry above; the d tiles at one
+  position form a (d, tile) slab, C0 @ slab is the block of W at those
+  rows and columns, and x times that block is added into the output. That
+  is |W| * (d + p) mult-adds in larger GEMMs.
+
+The sweep is taken unless the slab does fewer mult-adds, p * d > i0 * (d +
+p): at i0 = 8, d = 64 (2048^2 and 4096^2) from p = 10 on, so p = 1 always
+sweeps. Besides the tile gathers, a slab step holds the slab and its block
+of W, d * TILE_ELEMENTS values each at full rank (d = i0 * j0): 1/16 of W at
+2048^2, 1/64 at 4096^2, all of W only when W is that small (512^2).
 """
 
 from dataclasses import dataclass
@@ -47,7 +65,12 @@ FP_CORE_SHARE = 64  # the first core holds at most 1/64 of the matrix's values
 
 
 class WorkingSetMeter:
-    """Tracks transient dequantized buffer sizes inside fused multiplies."""
+    """Counts the elements of each tile gather inside fused multiplies.
+
+    peak_elements is the largest single gather (at most TILE_ELEMENTS);
+    total_unpacked is the sum over gathers. The slab path stacks d gathers,
+    each recorded on its own.
+    """
 
     def __init__(self):
         self.peak_elements = 0
@@ -131,12 +154,13 @@ def deco_dequantize(q: mpo.MpoChain) -> np.ndarray:
     return mpo.reconstruct(q)
 
 
-def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter):
+def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter, offset: int = 0):
     """Yield (row slice, column slice, float64 tile) over a packed (rows, cols) M.
 
     Whole rows while a row fits in TILE_ELEMENTS, else TILE_ELEMENTS-wide
     pieces of one row: each tile is one contiguous unpack_range, gathered
-    through the core's table of code * scale.
+    through the core's table of code * scale. M starts `offset` elements
+    into the payload, so one core can be walked as several stacked matrices.
     """
     table = qt.value_table()
     height = max(1, TILE_ELEMENTS // cols)
@@ -146,19 +170,48 @@ def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter):
         rs = slice(r0, min(rows, r0 + height))
         h = rs.stop - r0
         for cs in pieces:
-            start, count = r0 * cols + cs.start, h * (cs.stop - cs.start)
+            start, count = offset + r0 * cols + cs.start, h * (cs.stop - cs.start)
             tile = unpack_range(qt.payload, start, count, qt.bits, table)
             if meter is not None:
                 meter.record(count)
             yield rs, cs, tile.reshape(h, -1)
 
 
+def _slab_matmul(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
+    """x @ W for a chain [C0, C1] with C1 packed, one slab of W at a time.
+
+    The slab order of the module docstring: d _tiles walks, one over each
+    of C1's stacked (i1, j1) matrices, advance together, a slab per step.
+    """
+    first, last = q.local_tensors
+    _, i0, j0, d = first.shape
+    _, i1, j1, _ = last.shape
+    p = x.shape[0]
+    xv = np.asarray(x, dtype=np.float64).reshape(p, i0, i1)
+    # rows in (j0, i0) order, so C0 @ slab is j0 stacked (i0 * h, w) blocks
+    c0 = np.asarray(first, dtype=np.float64).reshape(i0, j0, d)
+    c0 = np.ascontiguousarray(c0.transpose(1, 0, 2)).reshape(j0 * i0, d)
+    y = np.zeros((p, j0, j1), dtype=np.float64)
+    stacked = [_tiles(last, i1, j1, meter, k * i1 * j1) for k in range(d)]
+    for at in zip(*stacked):
+        rs, cs, _ = at[0]
+        h, w = rs.stop - rs.start, cs.stop - cs.start
+        slab = np.stack([tile for _, _, tile in at]).reshape(d, h * w)
+        w_slab = (c0 @ slab).reshape(j0, i0 * h, w)
+        acc = y[:, :, cs]  # y[:, :, cs] += would copy the slice back
+        acc += np.matmul(xv[:, :, rs].reshape(p, i0 * h), w_slab).transpose(1, 0, 2)
+    return np.ascontiguousarray(y.reshape(p, q.cols).astype(np.float32))
+
+
 def fused_matmul(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
     """x @ W for the compressed matrix W, streaming the packed cores.
 
-    Sweeps the chain left to right: the full-precision first core is
-    applied directly, each packed core through the tiled GEMM. Matches
-    x @ deco_dequantize(q) within 1e-4 relative Frobenius.
+    Takes the contraction order with fewer mult-adds (module docstring):
+    the sweep, left to right with the full-precision first core applied
+    directly and each packed core through the tiled GEMM, or, for a
+    two-core chain once p * d > i0 * (d + p), the slab rebuild of W. Either
+    matches x @ deco_dequantize(q) within 1e-4 relative Frobenius, and each
+    gather stays within TILE_ELEMENTS values.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != q.rows:
@@ -166,6 +219,11 @@ def fused_matmul(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
     p = x.shape[0]
     i_f, j_f = q.plan.i_factors, q.plan.j_factors
     n = q.plan.n
+    first, last = q.local_tensors[0], q.local_tensors[-1]
+    if n == 2 and isinstance(first, np.ndarray) and isinstance(last, QuantizedTensor):
+        d = first.shape[3]  # slab |W| * (d + p) vs sweep p * |W| * d / i0 mult-adds
+        if p * d > i_f[0] * (d + p):
+            return _slab_matmul(x, q, meter)
     # state: (p, i_k..i_n, J_acc, d_{k-1}) flattened views
     cur = np.asarray(x, dtype=np.float64).reshape((p,) + tuple(i_f) + (1, 1))
     j_acc = 1

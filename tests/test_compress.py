@@ -14,6 +14,7 @@ from dquant import (
     plan_shapes,
     synth_activations,
 )
+from dquant import compress
 from dquant.compress import TILE_ELEMENTS, _tiles, factorize
 from dquant.errors import ShapeMismatch
 
@@ -27,6 +28,19 @@ def rel_err(a, b):
     return np.linalg.norm(np.asarray(a, np.float64) - np.asarray(b, np.float64)) / max(
         denom, 1e-30
     )
+
+
+def spy_slab_matmul(monkeypatch):
+    """Record p of every call fused_matmul makes to its slab path."""
+    calls = []
+    slab = compress._slab_matmul
+
+    def spy(x, q, meter):
+        calls.append(x.shape[0])
+        return slab(x, q, meter)
+
+    monkeypatch.setattr(compress, "_slab_matmul", spy)
+    return calls
 
 
 class TestDecoQuantize:
@@ -178,6 +192,55 @@ class TestFusedMatmul:
         meter_t = WorkingSetMeter()
         assert rel_err(x_t @ full.T, fused_matmul_t(x_t, q, meter_t)) < 1e-4
         assert 0 < meter_t.peak_elements <= TILE_ELEMENTS
+
+    def test_rows_wider_than_a_tile_on_the_slab_path(self, monkeypatch):
+        # p=64 is past the crossover, so W is rebuilt in slabs whose tiles
+        # are the row pieces of the 64 stacked 1 x 4099 matrices
+        q = deco_quantize(rand((8, 32792), 11), 4)
+        slabs = spy_slab_matmul(monkeypatch)
+        x = rand((64, 8), 15)
+        meter = WorkingSetMeter()
+        got = fused_matmul(x, q, meter)
+        assert slabs == [64]
+        want = x.astype(np.float64) @ deco_dequantize(q).astype(np.float64)
+        assert rel_err(want, got) < 1e-4
+        assert 0 < meter.peak_elements <= TILE_ELEMENTS
+        assert meter.total_unpacked == q.local_tensors[1].count
+
+    @pytest.mark.parametrize("p,path", [(1, "sweep"), (9, "sweep"), (10, "slab")])
+    def test_contraction_order_follows_the_mult_add_count(self, monkeypatch, p, path):
+        # plan (8, 1) x (8, 4099), d = 64: the slab path does fewer
+        # mult-adds once p * 64 > 8 * (64 + p), that is from p = 10 on
+        q = deco_quantize(rand((8, 32792), 11), 4)
+        slabs = spy_slab_matmul(monkeypatch)
+        fused_matmul(rand((p, 8), 16), q)
+        assert slabs == ([p] if path == "slab" else [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 160), st.sampled_from([2, 3, 61, 127, 131, 257])),
+        st.one_of(st.integers(1, 160), st.sampled_from([2, 3, 61, 127, 131, 257])),
+        st.sampled_from([2, 4, 8]),
+        st.integers(2, 3),
+        st.integers(1, 80),
+        st.integers(0, 2**16),
+    )
+    def test_fused_matches_the_float64_product(self, rows, cols, bits, n, p, seed):
+        # p up to 80 draws both sides of the slab crossover
+        q = deco_quantize(rand((rows, cols), seed), bits, n)
+        full = deco_dequantize(q).astype(np.float64)
+        packed = sum(t.count for t in q.quantized_locals)
+        x = rand((p, rows), seed + 1)
+        meter = WorkingSetMeter()
+        assert rel_err(x.astype(np.float64) @ full, fused_matmul(x, q, meter)) < 1e-4
+        assert meter.peak_elements <= TILE_ELEMENTS
+        assert meter.total_unpacked == packed  # every packed value decoded once
+        x_t = rand((p, cols), seed + 2)
+        meter_t = WorkingSetMeter()
+        got_t = fused_matmul_t(x_t, q, meter_t)
+        assert rel_err(x_t.astype(np.float64) @ full.T, got_t) < 1e-4
+        assert meter_t.peak_elements <= TILE_ELEMENTS
+        assert meter_t.total_unpacked == packed
 
     @pytest.mark.parametrize(
         "shape,bits",
