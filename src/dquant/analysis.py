@@ -261,10 +261,11 @@ def decomposition_comparison(suite, bits=4):
         records.append(
             ErrorRecord(METHOD_TL_ONLY, bits, 2, seed, err, rel, _chain_overhead(chain))
         )
-        # float64 in: a float32 Gram matrix loses the small singular values
+        # float64 in: a float32 Gram matrix loses the small singular values;
+        # _split consumes its input, and QR still needs m64
         m64 = np.asarray(m, dtype=np.float64)
         for method, (a, b) in (
-            (METHOD_SVD, mpo._split(m64)),
+            (METHOD_SVD, mpo._split(m64.copy())),
             (METHOD_QR, np.linalg.qr(m64, mode="reduced")),
         ):
             rec, overhead = _quantize_larger(m, a, b, bits)

@@ -68,8 +68,8 @@ class WorkingSetMeter:
     """Counts the elements of each tile gather inside fused multiplies.
 
     peak_elements is the largest single gather (at most TILE_ELEMENTS);
-    total_unpacked is the sum over gathers. The slab path stacks d gathers,
-    each recorded on its own.
+    total_unpacked is the sum over gathers. The slab path gathers d tiles
+    into one slab, each recorded on its own.
     """
 
     def __init__(self):
@@ -154,13 +154,15 @@ def deco_dequantize(q: mpo.MpoChain) -> np.ndarray:
     return mpo.reconstruct(q)
 
 
-def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter, offset: int = 0):
+def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter, offset: int = 0, out=None):
     """Yield (row slice, column slice, float64 tile) over a packed (rows, cols) M.
 
     Whole rows while a row fits in TILE_ELEMENTS, else TILE_ELEMENTS-wide
     pieces of one row: each tile is one contiguous unpack_range, gathered
     through the core's table of code * scale. M starts `offset` elements
     into the payload, so one core can be walked as several stacked matrices.
+    Given `out` (TILE_ELEMENTS float64 values), every tile is gathered into
+    its front, so a tile is valid only until the next one is drawn.
     """
     table = qt.value_table()
     height = max(1, TILE_ELEMENTS // cols)
@@ -171,7 +173,8 @@ def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter, offset: int = 0):
         h = rs.stop - r0
         for cs in pieces:
             start, count = offset + r0 * cols + cs.start, h * (cs.stop - cs.start)
-            tile = unpack_range(qt.payload, start, count, qt.bits, table)
+            into = None if out is None else out[:count]
+            tile = unpack_range(qt.payload, start, count, qt.bits, table, into)
             if meter is not None:
                 meter.record(count)
             yield rs, cs, tile.reshape(h, -1)
@@ -181,7 +184,8 @@ def _slab_matmul(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     """x @ W for a chain [C0, C1] with C1 packed, one slab of W at a time.
 
     The slab order of the module docstring: d _tiles walks, one over each
-    of C1's stacked (i1, j1) matrices, advance together, a slab per step.
+    of C1's stacked (i1, j1) matrices, advance together, each gathering
+    into its own row of one reused slab.
     """
     first, last = q.local_tensors
     _, i0, j0, d = first.shape
@@ -192,12 +196,12 @@ def _slab_matmul(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     c0 = np.asarray(first, dtype=np.float64).reshape(i0, j0, d)
     c0 = np.ascontiguousarray(c0.transpose(1, 0, 2)).reshape(j0 * i0, d)
     y = np.zeros((p, j0, j1), dtype=np.float64)
-    stacked = [_tiles(last, i1, j1, meter, k * i1 * j1) for k in range(d)]
-    for at in zip(*stacked):
+    slab = np.empty((d, TILE_ELEMENTS), dtype=np.float64)
+    rows = [_tiles(last, i1, j1, meter, k * i1 * j1, slab[k]) for k in range(d)]
+    for at in zip(*rows):
         rs, cs, _ = at[0]
         h, w = rs.stop - rs.start, cs.stop - cs.start
-        slab = np.stack([tile for _, _, tile in at]).reshape(d, h * w)
-        w_slab = (c0 @ slab).reshape(j0, i0 * h, w)
+        w_slab = (c0 @ slab[:, : h * w]).reshape(j0, i0 * h, w)
         acc = y[:, :, cs]  # y[:, :, cs] += would copy the slice back
         acc += np.matmul(xv[:, :, rs].reshape(p, i0 * h), w_slab).transpose(1, 0, 2)
     return np.ascontiguousarray(y.reshape(p, q.cols).astype(np.float32))

@@ -15,6 +15,15 @@ input. Bond dimensions follow
 
 and the factorization is exact up to float32 round-off.
 
+The split works in place on one float64 carry, a copy of the interleaved
+input that decompose owns: _split consumes the unfolding it is handed.
+When a is a row-major wide unfolding (every first split), proj is written
+over it in column blocks of about SPLIT_BLOCK values, since each column
+of proj depends only on the same column of a, so no second full-size
+array is made. The last split divides proj by sqrt(s) straight into a
+float32 array, so that core is cast once, as the float64 quotient is
+rounded; the other cores are cast when the chain is built.
+
 MpoChain is the one chain type: decompose returns float32 cores, and
 compress.deco_quantize packs all but the first. Its constructor is the
 only check of a chain's shape, for every caller, the DQZ1 reader included.
@@ -39,6 +48,7 @@ from .errors import BondMismatch, NonFiniteInput, ShapeMismatch
 from .quantize import QuantizedTensor
 
 FACTOR_CAP = 8
+SPLIT_BLOCK = 1 << 19  # float64 values per column block of a split's projection
 
 
 @dataclass(frozen=True)
@@ -188,16 +198,30 @@ def _interleave(t, i_factors, j_factors):
     return np.transpose(t, order)
 
 
-def _split(mat: np.ndarray):
+def _split(mat: np.ndarray, dtype=np.float64):
     """(left, right) with mat = left @ right, sqrt(s_k) on each side of bond k.
 
     The Gram route of the module docstring; a bond with s_k = 0 is zero on
-    both sides.
+    both sides. Consumes mat, a writable float64 array. When a is
+    C-contiguous, proj is written over it in column blocks; otherwise it is
+    a fresh product, as it must stay row-major for s to sum in the same
+    order. proj / sqrt(s) is written as `dtype`, rounded once from float64.
     """
     tall = mat.shape[0] > mat.shape[1]
     a = mat.T if tall else mat
     u = np.linalg.eigh(a @ a.T)[1][:, ::-1]  # largest eigenvalue first
-    proj = u.T @ a
+    if a.flags.c_contiguous:
+        # blocks start on multiples of 64 columns and the last takes the
+        # rest, so each column meets the same BLAS kernel as in one product
+        cols = a.shape[1]
+        width = max(64, SPLIT_BLOCK // max(1, len(a)) // 64 * 64)
+        blocks = max(1, cols // width)
+        for k in range(blocks):
+            cs = slice(k * width, cols if k == blocks - 1 else (k + 1) * width)
+            a[:, cs] = u.T @ a[:, cs]
+        proj = a
+    else:
+        proj = u.T @ a
     s = np.sqrt(np.einsum("ij,ij->i", proj, proj))
     order = np.argsort(-s, kind="stable")
     # eigh's order, reversed, is already s's up to round-off: copy only if not
@@ -205,8 +229,10 @@ def _split(mat: np.ndarray):
         u, proj, s = u[:, order], proj[order], s[order]
     root = np.sqrt(s)
     left = u * root
-    proj /= np.where(root > 0, root, 1.0)[:, None]
-    return (proj.T, left.T) if tall else (left, proj)
+    div = np.where(root > 0, root, 1.0)[:, None]
+    out = proj if dtype == proj.dtype else np.empty(proj.shape, dtype)
+    np.divide(proj, div, out=out, casting="same_kind")
+    return (out.T, left.T) if tall else (left, out)
 
 
 def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
@@ -225,9 +251,8 @@ def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
     if not np.all(np.isfinite(m)):
         raise NonFiniteInput("decompose requires finite entries")
     n = plan.n
-    carry = np.ascontiguousarray(
-        _interleave(m, plan.i_factors, plan.j_factors), dtype=np.float64
-    )
+    # a fresh copy even for float64 input, since _split consumes the carry
+    carry = _interleave(m, plan.i_factors, plan.j_factors).astype(np.float64, order="C")
     cores = []
     d_prev = 1
     for k in range(n):
@@ -236,11 +261,13 @@ def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
         if k == n - 1:
             cores.append(mat.reshape(d_prev, ik, jk, 1))
             break
-        left, carry = _split(mat)
+        # the last split's proj / sqrt(s) is a core (the last one, or the
+        # one at k when the unfolding is tall): write it as float32
+        left, carry = _split(mat, np.float32 if k == n - 2 else np.float64)
         d_next = left.shape[1]
         cores.append(left.reshape(d_prev, ik, jk, d_next))
         d_prev = d_next
-    return MpoChain(tuple(c.astype(np.float32) for c in cores))
+    return MpoChain(tuple(cores))  # casts the float64 cores to float32
 
 
 def reconstruct(chain: MpoChain) -> np.ndarray:

@@ -6,10 +6,16 @@ Quantization uses a single positive step size per tensor:
     code = clamp(round_half_away_from_zero(t / step), -qmax, qmax)
 
 The code range is symmetric: the most negative two's-complement value
-(-2**(bits-1)) is never produced. Codes are computed over the flat tensor
-in blocks of QUANT_BLOCK elements, each block in float64 with the same
-operations as a single pass (t * qmax / max(|t|), then rounding), so the
-codes are those of one pass and no full-size float64 or int64 copy is made.
+(-2**(bits-1)) is never produced. quantize_rtn walks the flat tensor in
+blocks of QUANT_BLOCK elements. Each block is computed in two reused
+float64 buffers with the operations of a single pass, y = t * qmax /
+max(|t|) (the division skipped when max(|t|) is 1.0, as after the gauge,
+since x / 1.0 is exact), then rounded as trunc(y + copysign(0.5, y)), which
+is copysign(floor(|y| + 0.5), y), -0 included; the clamp never binds
+(quantize_rtn says why), so none runs. The block's int8 codes are
+packed straight into their bytes of the payload, so the codes and bytes
+are those of one pass and no full-size float64, code or lane array is
+made. pack is the range check in front of the same packer.
 
 Packed payload layout (stable wire format): codes are stored in row-major
 element order, two's complement within `bits` bits, little-endian bit
@@ -31,6 +37,7 @@ significand needs at most 32 of float64's 53 bits - so the float32 cast
 rounds once, as a float32 multiply of code and scale does.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,22 +101,40 @@ def pack(values, bits: int) -> bytes:
     """Bit-pack small signed integers (low bits first within each byte).
 
     The range check runs on the values as given, before they are narrowed
-    to int8 and masked.
+    to int8 and handed to the packer quantize_rtn uses.
     """
     _check_bits(bits)
     v = np.asarray(values).ravel()
     qmax = (1 << (bits - 1)) - 1
     if v.size and (v.min() < -qmax or v.max() > qmax):
         raise RangeOverflow(f"values outside [-{qmax}, {qmax}] at {bits} bits")
-    u = v.astype(np.int8, copy=False).view(np.uint8) & np.uint8((1 << bits) - 1)
+    out = np.empty(payload_size(v.size, bits), dtype=np.uint8)
+    _pack_into(v.astype(np.int8, copy=False), bits, out)
+    return out.tobytes()
+
+
+def _pack_into(codes, bits, out):
+    """Pack int8 codes in [-qmax, qmax] into the uint8 array out, in place.
+
+    out holds payload_size(codes.size, bits) bytes; a last partial byte gets
+    zero lanes. The top lane's high bits shift out of the byte, so it is the
+    one lane left unmasked.
+    """
+    u = codes.view(np.uint8)
     per = 8 // bits
+    if per == 1:
+        out[...] = u
+        return
     if u.size % per:
         u = np.concatenate([u, np.zeros(per - u.size % per, dtype=np.uint8)])
-    u = u.reshape(-1, per)
-    out = np.zeros(u.shape[0], dtype=np.uint8)
-    for i in range(per):
-        out |= u[:, i] << (bits * i)
-    return out.tobytes()
+    lanes = u.reshape(-1, per)
+    mask = (1 << bits) - 1
+    np.bitwise_and(lanes[:, 0], mask, out=out)
+    for i in range(1, per):
+        lane = lanes[:, i] << bits * i
+        if i < per - 1:
+            lane &= mask << bits * i
+        out |= lane
 
 
 def unpack(payload: bytes, count: int, bits: int) -> np.ndarray:
@@ -123,7 +148,7 @@ def unpack(payload: bytes, count: int, bits: int) -> np.ndarray:
 
 
 def unpack_range(
-    payload: bytes, start: int, count: int, bits: int, table=None
+    payload: bytes, start: int, count: int, bits: int, table=None, out=None
 ) -> np.ndarray:
     """Unpack elements [start, start+count) without touching the rest.
 
@@ -132,7 +157,10 @@ def unpack_range(
     `table`, a (256, 8 // bits) array in CODE_TABLES lane order; the
     default, CODE_TABLES[bits], gives int8 codes. The fused multiply
     passes a core's value_table(), so each of its tiles is dequantized by
-    this one gather.
+    this one gather. Given `out` (count contiguous elements of the table's
+    dtype), the elements are written there and out is returned: a range
+    that starts and ends on byte boundaries is gathered straight into it,
+    any other range is gathered fresh and copied.
     """
     _check_bits(bits)
     per = 8 // bits
@@ -142,7 +170,16 @@ def unpack_range(
         raise CorruptPayload("requested element range exceeds payload")
     chunk = np.frombuffer(payload, dtype=np.uint8, count=byte1 - byte0, offset=byte0)
     table = CODE_TABLES[bits] if table is None else table
-    return _gather(table, chunk, start - byte0 * per, count)
+    skip = start - byte0 * per
+    if out is None:
+        return _gather(table, chunk, skip, count)
+    if skip or count % per:
+        out[...] = _gather(table, chunk, skip, count)
+    else:
+        # mode="clip" never clips (a byte always indexes one of the 256
+        # rows) but, unlike "raise", gathers into out without a buffer
+        np.take(table, chunk, axis=0, out=out.reshape(-1, per), mode="clip")
+    return out
 
 
 def _gather(table, chunk, skip, count):
@@ -168,32 +205,52 @@ CODE_TABLES = {bits: _code_table(bits) for bits in SUPPORTED_BITS}
 def quantize_rtn(t: np.ndarray, bits: int) -> QuantizedTensor:
     """Quantize a tensor with one symmetric scale (round half away from zero).
 
-    Codes are computed in blocks straight into one int8 array (see the
-    module docstring). A degenerate all-zero input gets scale 1.0 and
-    all-zero codes so that dequantization reproduces it exactly.
+    Each block's codes are computed in two reused float64 buffers and packed
+    straight into the payload (see the module docstring). A degenerate
+    all-zero input gets scale 1.0 and all-zero codes so that dequantization
+    reproduces it exactly.
     """
     _check_bits(bits)
     t = np.asarray(t)
-    if t.size and not np.all(np.isfinite(t)):
+    # max and min propagate NaN and reach any infinity: no separate pass
+    hi, lo = (float(t.max()), float(t.min())) if t.size else (0.0, 0.0)
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise NonFiniteInput("quantize_rtn requires finite entries")
     qmax = (1 << (bits - 1)) - 1
-    amax = max(float(t.max()), -float(t.min())) if t.size else 0.0
+    amax = max(hi, -lo)
     scale = np.float32(amax / qmax) if amax > 0 else np.float32(1.0)
-    codes = np.zeros(t.size, dtype=np.int8)
+    payload = np.zeros(payload_size(t.size, bits), dtype=np.uint8)
     if amax == 0.0 or float(scale) == 0.0:
         # zero input, or a subnormal max that underflows the float32 step:
         # store step 1.0 and all-zero codes
         scale = np.float32(1.0)
     else:
         flat = t.ravel()
+        per = 8 // bits
+        y = np.empty(min(t.size, QUANT_BLOCK))
+        r = np.empty_like(y)
+        codes = np.empty(y.size, dtype=np.int8)
         for i in range(0, t.size, QUANT_BLOCK):
-            # w * qmax / max(|t|) keeps exactly-representable ties exact,
-            # unlike dividing by the rounded float32 step
-            y = flat[i : i + QUANT_BLOCK].astype(np.float64) * qmax / amax
-            r = np.copysign(np.floor(np.abs(y) + 0.5), y)
-            codes[i : i + QUANT_BLOCK] = np.clip(r, -qmax, qmax)
+            n = min(QUANT_BLOCK, t.size - i)
+            yb, rb, cb = y[:n], r[:n], codes[:n]
+            # t * qmax / max(|t|) keeps exactly-representable ties exact,
+            # unlike dividing by the rounded float32 step; x / 1.0 is exact,
+            # so a regauged core (max |t| = 1) skips the division
+            yb[...] = flat[i : i + n]
+            yb *= qmax
+            if amax != 1.0:
+                yb /= amax
+            # round half away from zero: trunc(y + copysign(0.5, y)) equals
+            # copysign(floor(|y| + 0.5), y), and the int8 cast truncates.
+            # No clip: |t| <= amax and each float64 step rounds monotonically,
+            # so |y| <= qmax (1 + 2**-53)**2 < qmax + 0.5 (for float32 t the
+            # product is exact and |y| <= qmax)
+            np.copysign(0.5, yb, out=rb)
+            rb += yb
+            cb[...] = rb
+            _pack_into(cb, bits, payload[i // per : (i + n + per - 1) // per])
     return QuantizedTensor(
-        shape=tuple(t.shape), bits=bits, scale=float(scale), payload=pack(codes, bits)
+        shape=tuple(t.shape), bits=bits, scale=float(scale), payload=payload.tobytes()
     )
 
 

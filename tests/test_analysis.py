@@ -211,6 +211,22 @@ class TestDecompositionComparison:
                     checked += 1
             assert checked == 2 * len(suite)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_qr_baseline_sees_the_suite_matrix(self, dtype):
+        # the SVD baseline's split runs first and consumes its input: the
+        # QR record must still be the QR error of the untouched matrix
+        suite = [m.astype(dtype) for m in small_suite(2, 64, 64)]
+        kept = [m.copy() for m in suite]
+        records = decomposition_comparison(suite, bits=4)
+        for r in records:
+            if r.method == METHOD_QR:
+                m = kept[r.seed]
+                fresh = m.astype(np.float64)
+                rec, _ = _quantize_larger(m, *np.linalg.qr(fresh, mode="reduced"), 4)
+                assert r.frobenius_error == np.linalg.norm(fresh - rec)
+        for m, k in zip(suite, kept):
+            np.testing.assert_array_equal(m, k)
+
     def test_chain_wins_on_suite(self):
         med = median_by(decomposition_comparison(small_suite(6), bits=4))
         assert med[(METHOD_TL_ONLY, 4)] < med[(METHOD_SVD, 4)]

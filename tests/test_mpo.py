@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dquant import MpoChain, ShapePlan, decompose, plan_shapes, reconstruct, split_large_small
-from dquant import deco_quantize
+from dquant import deco_quantize, mpo
 from dquant.errors import BondMismatch, DquantError, NonFiniteInput, ShapeMismatch
 
 
@@ -235,6 +235,39 @@ class TestGramSplit:
         np.testing.assert_allclose(
             col_norms**2, sv, rtol=0, atol=1e-6 * max(sv[0], 1e-300)
         )
+
+    @pytest.mark.parametrize(
+        "shape", [(64, 31250), (64, 8193), (37, 70001), (2, 5), (5000, 64)]
+    )
+    def test_split_in_place_is_the_one_product_split(self, shape):
+        # column blocks whose width is not a multiple of the BLAS unroll, or
+        # a one-column last block, change bytes; these shapes caught both
+        mat = np.random.default_rng(shape[1]).standard_normal(shape)
+        tall = shape[0] > shape[1]
+        a = mat.T if tall else mat
+        u = np.linalg.eigh(a @ a.T)[1][:, ::-1]
+        proj = u.T @ a
+        s = np.sqrt(np.einsum("ij,ij->i", proj, proj))
+        order = np.argsort(-s, kind="stable")
+        u, proj, s = u[:, order], proj[order], s[order]
+        root = np.sqrt(s)
+        proj /= np.where(root > 0, root, 1.0)[:, None]
+        want = (proj.T, (u * root).T) if tall else (u * root, proj)
+        for dtype in (np.float64, np.float32):
+            got = mpo._split(mat.copy(), dtype)
+            side = 0 if tall else 1  # proj's side, written as dtype
+            for k, (g, w) in enumerate(zip(got, want)):
+                w = w.astype(dtype) if k == side else w
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("shape", [(7, 301), (64, 48), (48, 64), (1, 96)])
+    def test_float64_input_is_left_untouched(self, shape):
+        # at 7 x 301 the interleaved view of the input is already contiguous,
+        # and the split writes over its carry: the carry must be a copy
+        m = rand(shape, 12).astype(np.float64)
+        kept = m.copy()
+        decompose(m, plan_shapes(*shape, 2))
+        np.testing.assert_array_equal(m, kept)
 
     @pytest.mark.parametrize("shape", [(64, 48), (48, 64), (512, 1), (1, 96)])
     def test_wide_and_tall_unfoldings(self, shape):

@@ -13,6 +13,7 @@ from dquant.errors import (
     RangeOverflow,
     UnsupportedBits,
 )
+from dquant.compress import deco_quantize, factorize
 from dquant.quantize import CODE_TABLES, QUANT_BLOCK, SUPPORTED_BITS, unpack_range
 
 
@@ -253,6 +254,41 @@ class TestBlockedParity:
         expected = np.sign(k[ties]) * ((np.abs(k[ties]) + 1) // 2)
         np.testing.assert_array_equal(q.codes()[ties], expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(SUPPORTED_BITS),
+        st.one_of(
+            st.integers(1, 70),
+            st.sampled_from(
+                [QUANT_BLOCK - 1, QUANT_BLOCK, QUANT_BLOCK + 1, 2 * QUANT_BLOCK + 3]
+            ),
+        ),
+        st.sampled_from([1e-30, 1.0, 1e30]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_regauged_input_skips_the_division(self, bits, size, spread, seed):
+        # scaled in float32 to max |t| == 1.0, as _regauge leaves a packed
+        # core, so quantize_rtn takes its path without the division by amax
+        rng = np.random.default_rng(seed)
+        raw = (rng.standard_normal(size) * spread).astype(np.float32)
+        t = raw / np.float32(np.abs(raw).max())
+        assert t.dtype == np.float32 and np.abs(t).max() == 1.0
+        q = quantize_rtn(t, bits)
+        assert (q.scale, q.payload) == one_shot_rtn(t, bits)
+
+    @pytest.mark.parametrize("shape,n", [((64, 48), 2), ((120, 72), 3), ((7, 301), 2)])
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_deco_quantize_packs_the_regauged_cores(self, shape, n, bits):
+        m = np.random.default_rng(3).standard_normal(shape).astype(np.float32)
+        packed = deco_quantize(m, bits, n).local_tensors[1:]
+        cores = factorize(m, n).local_tensors[1:]
+        assert len(packed) == len(cores) == n - 1
+        for qt, core in zip(packed, cores):
+            want = quantize_rtn(core, bits)
+            assert (qt.shape, qt.scale, qt.payload) == (
+                want.shape, want.scale, want.payload
+            )
+
     @given(st.sampled_from(SUPPORTED_BITS), st.data())
     def test_pack_unpack_roundtrip(self, bits, data):
         qmax = 2 ** (bits - 1) - 1
@@ -314,6 +350,19 @@ class TestCodeTables:
         codes = unpack_range(payload, start, count, bits)
         assert got.dtype == np.float64
         assert got.tobytes() == (codes.astype(np.float64) * s64).tobytes()
+
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_gather_into_out_matches_a_fresh_gather(self, bits):
+        # (0, 80) and (4, 64) start and end on byte boundaries at every width;
+        # the others fall back to a fresh gather copied into out
+        payload = pack([(k % 3) - 1 for k in range(101)], bits)
+        table = CODE_TABLES[bits] * np.float64(0.375)
+        for start, count in [(0, 80), (4, 64), (3, 11), (1, 100), (50, 0)]:
+            out = np.full(count, np.nan)
+            got = unpack_range(payload, start, count, bits, table, out)
+            assert got is out
+            want = unpack_range(payload, start, count, bits, table)
+            assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bits", SUPPORTED_BITS)
     def test_codes_are_a_fresh_writable_array(self, bits):
