@@ -153,11 +153,13 @@ def synth_activations(
     return base.astype(np.float32)
 
 
-def default_suite(seeds=range(20), rows=512, cols=512, outlier_cols=8, scale=20.0):
-    """The reference 20-seed outlier suite used by every sweep."""
-    return [
-        synth_activations(rows, cols, outlier_cols, scale, seed=s) for s in seeds
-    ]
+def default_suite(seeds=range(20)):
+    """The reference outlier suite used by every sweep, 20 seeds by default.
+
+    One 512 x 512 synth_activations matrix per seed, with 8 outlier
+    columns scaled by 20.
+    """
+    return [synth_activations(512, 512, 8, 20.0, seed=s) for s in seeds]
 
 
 def migration_report(m: np.ndarray):
@@ -191,7 +193,7 @@ def _quantize_cores(chain: mpo.MpoChain, bits: int, skip_first: bool) -> np.ndar
         t if k == 0 and skip_first else quantize_rtn(t, bits)
         for k, t in enumerate(chain.local_tensors)
     )
-    return deco_dequantize(mpo.MpoChain(cores, bits))
+    return deco_dequantize(mpo.MpoChain(cores))
 
 
 def _chain_overhead(chain: mpo.MpoChain) -> float:

@@ -3,8 +3,8 @@
 A matrix is tensor-train factorized, every core except the first (the
 small one, which absorbs the wide values) is quantized to B-bit integers,
 and the first core stays at full precision. The result is an mpo.MpoChain
-with bits set, its packed cores QuantizedTensors (QuantizedMpo names the
-same class). Two rules make that split work:
+whose packed cores are QuantizedTensors and whose bits is their width
+(QuantizedMpo names the same class). Two rules make that split work:
 
 * Plan: the first core is kept small. Starting from mpo.plan_shapes, the
   larger first-position factor steps down through the divisors of its
@@ -146,7 +146,7 @@ def deco_quantize(m: np.ndarray, bits: int, n: int = 2) -> mpo.MpoChain:
     chain = factorize(m, n)
     cores = [chain.local_tensors[0]]
     cores += [quantize_rtn(t, bits) for t in chain.local_tensors[1:]]
-    return mpo.MpoChain(tuple(cores), bits)
+    return mpo.MpoChain(tuple(cores))
 
 
 def deco_dequantize(q: mpo.MpoChain) -> np.ndarray:
@@ -204,7 +204,7 @@ def _slab_matmul(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
         w_slab = (c0 @ slab[:, : h * w]).reshape(j0, i0 * h, w)
         acc = y[:, :, cs]  # y[:, :, cs] += would copy the slice back
         acc += np.matmul(xv[:, :, rs].reshape(p, i0 * h), w_slab).transpose(1, 0, 2)
-    return np.ascontiguousarray(y.reshape(p, q.cols).astype(np.float32))
+    return y.reshape(p, q.cols).astype(np.float32, order="C")
 
 
 def fused_matmul(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
@@ -251,7 +251,7 @@ def fused_matmul(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
         j_acc *= jk
         d = d_next
         cur = out.reshape(p, i_rest, j_acc, d)
-    return np.ascontiguousarray(cur.reshape(p, q.cols).astype(np.float32))
+    return cur.reshape(p, q.cols).astype(np.float32, order="C")
 
 
 def fused_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
@@ -293,15 +293,15 @@ def fused_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None
         out = np.ascontiguousarray(np.transpose(out, (2, 0, 1, 3, 4)))
         i_acc *= ik
         cur = out.reshape(j_lead, d_prev, i_acc, p)
-    return np.ascontiguousarray(cur.reshape(q.rows, p).T.astype(np.float32))
+    return cur.reshape(q.rows, p).T.astype(np.float32, order="C")
 
 
 def compression_report(q: mpo.MpoChain) -> CompressionReport:
     """Bit-weighted size of the stored cores over the 16-bit original."""
-    n_quant = sum(t.count for t in q.quantized_locals)
     n_fp = sum(t.size for t in q.fp_locals)
     n_scales = len(q.quantized_locals)
-    numerator_bits = n_quant * q.bits + n_fp * 16 + n_scales * 16
+    packed_bits = sum(t.count * t.bits for t in q.quantized_locals)
+    numerator_bits = packed_bits + n_fp * 16 + n_scales * 16
     original_bits = q.rows * q.cols * 16
     bytes_compressed = (
         sum(len(t.payload) for t in q.quantized_locals) + 2 * n_scales + 2 * n_fp

@@ -17,12 +17,13 @@ DQZ1 (compressed chain):
     n         u8   chain length
     i_factors n * u64
     j_factors n * u64
-    bits      u8
+    bits      u8   the packed cores' width, 0 when no core is packed
     flags     n * u8   1 = core is packed, 0 = full precision
     bodies scroll     each core as a DQT1 body (everything after the magic)
 
-The DQZ1 reader checks the cores' bonds through mpo.MpoChain, then the
-header's factor lists against the cores' plan; a mismatch is MalformedFile.
+The DQZ1 reader checks the cores' bonds and widths through mpo.MpoChain,
+then checks once, against that chain, the header's bits byte and its
+factor lists; a mismatch is MalformedFile.
 """
 
 import io
@@ -124,14 +125,14 @@ def read_tensor(path):
 
 
 def write_mpo(path, q: MpoChain):
-    """Write a compressed chain as a DQZ1 file."""
+    """Write a chain as a DQZ1 file, float32 or packed cores alike."""
     with open(path, "wb") as f:
         f.write(MPO_MAGIC)
         n = q.plan.n
         f.write(struct.pack("<BB", MPO_VERSION, n))
         f.write(struct.pack(f"<{n}Q", *q.plan.i_factors))
         f.write(struct.pack(f"<{n}Q", *q.plan.j_factors))
-        f.write(struct.pack("<B", q.bits))
+        f.write(struct.pack("<B", q.bits or 0))
         flags = bytes(
             1 if isinstance(t, QuantizedTensor) else 0 for t in q.local_tensors
         )
@@ -141,7 +142,7 @@ def write_mpo(path, q: MpoChain):
 
 
 def read_mpo(path) -> MpoChain:
-    """Read a DQZ1 file back into an MpoChain; the header plan must match the cores."""
+    """Read a DQZ1 file back into an MpoChain; the header must match the cores."""
     with open(path, "rb") as f:
         if _read_exact(f, 4, "magic") != MPO_MAGIC:
             raise MalformedFile("not a DQZ1 file")
@@ -157,17 +158,16 @@ def read_mpo(path) -> MpoChain:
         cores = []
         for k in range(n):
             t = _read_tensor_body(f)
-            is_packed = isinstance(t, QuantizedTensor)
-            if bool(flags[k]) != is_packed:
+            if bool(flags[k]) != isinstance(t, QuantizedTensor):
                 raise MalformedFile(f"core {k} does not match its flag")
-            if is_packed and t.bits != bits:
-                raise MalformedFile(f"core {k} is {t.bits}-bit, header says {bits}")
             cores.append(t)
         _expect_eof(f, "chain payload")
     try:
-        chain = MpoChain(tuple(cores), int(bits))
+        chain = MpoChain(tuple(cores))
     except ValueError as exc:
         raise MalformedFile(str(exc)) from exc
+    if (chain.bits or 0) != bits:
+        raise MalformedFile(f"header says {bits}-bit, the cores say {chain.bits}")
     if (chain.plan.i_factors, chain.plan.j_factors) != (i_factors, j_factors):
         raise MalformedFile(
             f"header plan {i_factors} x {j_factors} disagrees with the cores"

@@ -34,9 +34,12 @@ u @ u.T @ a = a to round-off whatever the rank. Because s is measured on
 the projected rows rather than taken from the eigenvalues, the split stays
 balanced, and a direction with s_k = 0 gives zero rows on both sides (the
 zero matrix gives zero cores). The Gram matrix is float64, so float32
-input can neither overflow nor underflow it. Small s_k are accurate only
-to about sqrt(eps) * s_1 in absolute terms, which does not affect the
-product.
+input can neither overflow nor underflow it. It is also the one finiteness
+check: every entry of the first unfolding adds its square to a diagonal
+entry, so a NaN or infinite entry anywhere, or float64 input too large to
+square, makes it non-finite, and _split raises NonFiniteInput. Small s_k
+are accurate only to about sqrt(eps) * s_1 in absolute terms, which does
+not affect the product.
 """
 
 from dataclasses import dataclass, field
@@ -44,7 +47,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import BondMismatch, NonFiniteInput, ShapeMismatch
+from .errors import BondMismatch, NonFiniteInput, ShapeMismatch, UnsupportedBits
 from .quantize import QuantizedTensor
 
 FACTOR_CAP = 8
@@ -92,11 +95,9 @@ class ShapePlan:
         return tuple(dims)
 
 
-def _largest_divisor_le(x: int, cap: int = FACTOR_CAP) -> int:
-    for d in range(min(cap, x), 0, -1):
-        if x % d == 0:
-            return d
-    return 1
+def _largest_divisor_le(x: int) -> int:
+    """The largest divisor of x >= 1 that is at most FACTOR_CAP."""
+    return next(d for d in range(min(FACTOR_CAP, x), 0, -1) if x % d == 0)
 
 
 def plan_shapes(rows: int, cols: int, n: int = 2) -> ShapePlan:
@@ -129,14 +130,16 @@ def plan_shapes(rows: int, cols: int, n: int = 2) -> ShapePlan:
 class MpoChain:
     """Ordered 4-D cores [d_{k-1}, i_k, j_k, d_k] with d_0 = d_n = 1.
 
-    Each core is a float32 array or a packed QuantizedTensor; `bits` is the
-    packed cores' width (None when none is packed). The constructor checks
-    the shape (at least two 4-axis cores, outer bonds 1, adjacent bonds
-    equal) and reads `plan` off the cores once.
+    Each core is a float32 array or a packed QuantizedTensor. The
+    constructor checks the shape (at least two 4-axis cores, outer bonds 1,
+    adjacent bonds equal) and reads `plan` off the cores once. It reads
+    `bits` off them too: a chain holds one width, that of its packed cores
+    (None when none is packed), and packed cores of two widths raise
+    UnsupportedBits.
     """
 
     local_tensors: tuple
-    bits: int = None
+    bits: int = field(init=False)
     plan: ShapePlan = field(init=False)
 
     def __post_init__(self):
@@ -161,6 +164,10 @@ class MpoChain:
             tuple(t.shape[1] for t in cores), tuple(t.shape[2] for t in cores)
         )
         object.__setattr__(self, "plan", plan)
+        widths = {t.bits for t in cores if isinstance(t, QuantizedTensor)}
+        if len(widths) > 1:
+            raise UnsupportedBits(f"packed cores differ in width: {sorted(widths)}")
+        object.__setattr__(self, "bits", widths.pop() if widths else None)
 
     @property
     def n(self) -> int:
@@ -202,14 +209,19 @@ def _split(mat: np.ndarray, dtype=np.float64):
     """(left, right) with mat = left @ right, sqrt(s_k) on each side of bond k.
 
     The Gram route of the module docstring; a bond with s_k = 0 is zero on
-    both sides. Consumes mat, a writable float64 array. When a is
+    both sides. Raises NonFiniteInput, before eigh runs, when the Gram
+    matrix is not finite. Consumes mat, a writable float64 array. When a is
     C-contiguous, proj is written over it in column blocks; otherwise it is
     a fresh product, as it must stay row-major for s to sum in the same
     order. proj / sqrt(s) is written as `dtype`, rounded once from float64.
     """
     tall = mat.shape[0] > mat.shape[1]
     a = mat.T if tall else mat
-    u = np.linalg.eigh(a @ a.T)[1][:, ::-1]  # largest eigenvalue first
+    with np.errstate(over="ignore", invalid="ignore"):  # raised as NonFiniteInput
+        gram = a @ a.T
+    if not np.isfinite(gram).all():
+        raise NonFiniteInput("decompose requires entries whose squares sum finitely")
+    u = np.linalg.eigh(gram)[1][:, ::-1]  # largest eigenvalue first
     if a.flags.c_contiguous:
         # blocks start on multiples of 64 columns and the last takes the
         # rest, so each column meets the same BLAS kernel as in one product
@@ -240,7 +252,8 @@ def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
 
     Each unfolding is split through the eigendecomposition of its smaller
     Gram matrix, with no SVD and no fallback (see the module docstring for
-    why none is needed). Raises NonFiniteInput on a NaN or infinite entry.
+    why none is needed). Raises NonFiniteInput on a NaN or infinite entry,
+    or on float64 entries so large that the Gram matrix overflows.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape != (plan.rows, plan.cols):
@@ -248,8 +261,6 @@ def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
             f"matrix shape {m.shape} does not match plan "
             f"({plan.rows}, {plan.cols})"
         )
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteInput("decompose requires finite entries")
     n = plan.n
     # a fresh copy even for float64 input, since _split consumes the carry
     carry = _interleave(m, plan.i_factors, plan.j_factors).astype(np.float64, order="C")

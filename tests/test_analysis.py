@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dquant import (
     decomposition_comparison,
+    default_suite,
     iqr_stats,
     length_sweep,
     migration_report,
@@ -24,7 +25,7 @@ from dquant.analysis import (
     write_errors_csv,
     write_outliers_csv,
 )
-from dquant.errors import EmptyInput
+from dquant.errors import EmptyInput, ShapeMismatch
 
 
 def iqr_oracle(values):
@@ -117,6 +118,18 @@ class TestSynthActivations:
         rest = np.sort(col_norms)[:-8]
         assert top.min() > 5 * rest.max()
 
+    @pytest.mark.parametrize(
+        "outlier_cols,scale,match", [(9, 20.0, "outlier_cols"), (2, 0.5, "outlier_scale")]
+    )
+    def test_checks(self, outlier_cols, scale, match):
+        with pytest.raises(ShapeMismatch, match=match):
+            synth_activations(16, 8, outlier_cols, scale)
+
+    def test_default_suite_shape(self):
+        suite = default_suite(seeds=(3, 0))
+        for seed, m in zip((3, 0), suite):
+            assert m.tobytes() == synth_activations(512, 512, 8, 20.0, seed).tobytes()
+
 
 class TestMigrationReport:
     def test_large_core_narrower(self):
@@ -127,6 +140,10 @@ class TestMigrationReport:
     def test_zero_matrix(self):
         mat, large, small = migration_report(np.zeros((16, 16), np.float32))
         assert mat.iqr == large.iqr == small.iqr == 0.0
+
+    def test_rejects_a_non_matrix(self):
+        with pytest.raises(ShapeMismatch):
+            migration_report(np.zeros((4, 4, 4), np.float32))
 
 
 def small_suite(n=4, rows=128, cols=128):

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import dquant
-from dquant import analysis, compression_report, deco_quantize, synth_activations
+from dquant import (
+    QuantizedTensor,
+    analysis,
+    compression_report,
+    deco_quantize,
+    pack,
+    synth_activations,
+)
 from dquant.cli import main
 from dquant.errors import MalformedFile
 from dquant.formats import read_mpo, read_tensor, write_mpo, write_tensor
@@ -371,3 +378,56 @@ def test_output_in_missing_directory(tmp_path, capsys, name):
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [QuantizedTensor((4, 4), 4, 0.5, pack([1] * 16, 4)), np.ones((2, 4, 4), np.float32)],
+    ids=["packed", "3-D"],
+)
+def test_quantize_needs_a_float_matrix(tmp_path, capsys, tensor):
+    src = tmp_path / "t.dqt"
+    write_tensor(src, tensor)
+    code, _, err = run(
+        capsys, "quantize", "--input", str(src), "--bits", "4",
+        "--out", str(tmp_path / "t.dqz"),
+    )
+    assert code == 2
+    assert err.startswith("error: expected a")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quantize", "--input", "m.dqt", "--bits", "4", "--n", "1", "--out", "m.dqz"],
+        ["bench", "--experiment", "strategies", "--bits", "4,x", "--csv", "x.csv"],
+        ["bench", "--experiment", "strategies", "--seeds", "0", "--csv", "x.csv"],
+        ["import-raw", "--input", "m.bin", "--rows", "0", "--cols", "4",
+         "--out", "m.dqt"],
+    ],
+    ids=["quantize-n1", "bench-bits", "bench-seeds", "import-raw-rows"],
+)
+def test_bad_parameters_exit_3_before_any_file(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_no_arguments_and_help(capsys):
+    code, _, err = run(capsys)
+    assert code == 4 and err.startswith("usage: dquant {")
+    code, _, err = run(capsys, "-h")
+    assert code == 0 and err.startswith("usage: dquant {")
+
+
+def test_bench_verbose_prints_the_medians(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "bench", "--experiment", "strategies", "--bits", "4",
+        "--seeds", "1", "--csv", str(tmp_path / "e.csv"), "--verbose",
+    )
+    assert code == 0
+    medians = json.loads(out)["median_frobenius_error"]
+    assert err.splitlines() == [f"{k}: {v:.4f}" for k, v in medians.items()]
+    assert len(medians) == 3

@@ -216,6 +216,21 @@ class TestFusedMatmul:
         fused_matmul(rand((p, 8), 16), q)
         assert slabs == ([p] if path == "slab" else [])
 
+    @pytest.mark.parametrize("p", [1, 3, 10, 64])
+    @pytest.mark.parametrize("shape,n", [((8, 32792), 2), ((96, 60), 3)])
+    def test_products_are_c_contiguous_float32(self, monkeypatch, p, shape, n):
+        # the two-core chain takes the slab path from p = 10 on
+        q = deco_quantize(rand(shape, 11), 4, n)
+        slabs = spy_slab_matmul(monkeypatch)
+        rows, cols = shape
+        for y, want in (
+            (fused_matmul(rand((p, rows), 16), q), (p, cols)),
+            (fused_matmul_t(rand((p, cols), 17), q), (p, rows)),
+        ):
+            assert y.shape == want and y.dtype == np.float32
+            assert y.flags.c_contiguous
+        assert slabs == ([p] if n == 2 and p >= 10 else [])
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.one_of(st.integers(1, 160), st.sampled_from([2, 3, 61, 127, 131, 257])),

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dquant import QuantizedTensor, deco_quantize, pack
+from dquant import (
+    MpoChain,
+    QuantizedTensor,
+    compression_report,
+    deco_quantize,
+    decompose,
+    pack,
+    plan_shapes,
+    quantize_rtn,
+)
+from dquant.compress import factorize
 from dquant.errors import MalformedFile
 from dquant.formats import read_mpo, read_tensor, write_mpo, write_tensor
 
@@ -76,6 +86,84 @@ def test_mpo_roundtrip_byte_exact(tmp_path):
     assert got.bits == q.bits and got.plan == q.plan
     write_mpo(p2, got)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def bits_offset(n):
+    """Offset of a DQZ1 header's bits byte: magic, version, n, two factor lists."""
+    return 4 + 2 + 8 * 2 * n
+
+
+@st.composite
+def chains(draw):
+    """A chain in one of the three core layouts the package builds.
+
+    deco_quantize's (first core float32, the rest packed), decompose's (all
+    float32), and the deco-both sweep arm's (every core of factorize's chain
+    packed), at n = 2-3 and b2/4/8.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    bits = draw(st.sampled_from([2, 4, 8]))
+    rows, cols = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    m = rng.standard_normal((rows, cols)).astype(np.float32)
+    layout = draw(st.sampled_from(["deco", "float", "all-packed"]))
+    if layout == "deco":
+        return deco_quantize(m, bits, n)
+    if layout == "float":
+        return decompose(m, plan_shapes(rows, cols, n))
+    return MpoChain(tuple(quantize_rtn(t, bits) for t in factorize(m, n).local_tensors))
+
+
+def stored_bits(t):
+    """Stored bits of one core: codes plus a 16-bit scale, or 16 bits a value."""
+    if isinstance(t, QuantizedTensor):
+        return t.count * t.bits + 16
+    return t.size * 16
+
+
+@settings(max_examples=80, deadline=None)
+@given(chain=chains())
+def test_every_core_layout_round_trips_and_reports(tmp_path_factory, chain):
+    root = tmp_path_factory.mktemp("layouts")
+    p1, p2 = root / "a.dqz", root / "b.dqz"
+    write_mpo(p1, chain)
+    got = read_mpo(p1)
+    write_mpo(p2, got)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert got.bits == chain.bits
+    assert p1.read_bytes()[bits_offset(chain.n)] == (chain.bits or 0)
+    want = sum(stored_bits(t) for t in chain.local_tensors) / (
+        chain.rows * chain.cols * 16
+    )
+    assert compression_report(chain).ratio == want
+    assert compression_report(got) == compression_report(chain)
+
+
+@pytest.mark.parametrize("bits,header", [(None, 4), (4, 0), (4, 8), (8, 2)])
+def test_header_width_disagreeing_with_the_cores(tmp_path, bits, header):
+    m = np.random.default_rng(4).standard_normal((24, 16)).astype(np.float32)
+    if bits is None:
+        chain = decompose(m, plan_shapes(24, 16, 2))
+    else:
+        chain = deco_quantize(m, bits)
+    path = tmp_path / "a.dqz"
+    write_mpo(path, chain)
+    data = bytearray(path.read_bytes())
+    data[bits_offset(2)] = header
+    path.write_bytes(bytes(data))
+    with pytest.raises(MalformedFile):
+        read_mpo(path)
+
+
+@pytest.mark.parametrize("offset,value", [(4, 0), (4, 2), (5, 0), (5, 1)])
+def test_bad_version_or_chain_length(tmp_path, offset, value):
+    path = tmp_path / "a.dqz"
+    write_mpo(path, deco_quantize(np.ones((8, 8), np.float32), 4))
+    data = bytearray(path.read_bytes())
+    data[offset] = value
+    path.write_bytes(bytes(data))
+    with pytest.raises(MalformedFile, match="version" if offset == 4 else "length"):
+        read_mpo(path)
 
 
 def test_bad_magic(tmp_path):

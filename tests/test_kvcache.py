@@ -18,6 +18,8 @@ from dquant.errors import (
     DimMismatch,
     InvariantViolated,
     LayerOutOfRange,
+    ShapeMismatch,
+    UnsupportedBits,
 )
 from dquant.kvcache import TRACE_COLUMNS, _check_invariants, write_trace_csv
 
@@ -28,6 +30,16 @@ def kv(rows, dim, seed=0):
         rng.standard_normal((rows, dim)).astype(np.float32),
         rng.standard_normal((rows, dim)).astype(np.float32),
     )
+
+
+@pytest.mark.parametrize(
+    "field,error",
+    [({"chunk_len": 0}, ShapeMismatch), ({"bits": 3}, UnsupportedBits),
+     ({"n": 1}, ShapeMismatch)],
+)
+def test_config_checks(field, error):
+    with pytest.raises(error):
+        CacheConfig(layers=1, dim=8, **field)
 
 
 class TestPrefill:
@@ -81,6 +93,18 @@ class TestPrefill:
         cache = KvCache(CacheConfig(layers=1, dim=8, bits=4))
         with pytest.raises(DimMismatch):
             cache.prefill(0, *kv(4, 6))
+
+    def test_keys_and_values_of_different_shapes(self):
+        cache = KvCache(CacheConfig(layers=1, dim=8, bits=4))
+        keys, _ = kv(4, 8)
+        _, values = kv(5, 8)
+        with pytest.raises(DimMismatch):
+            cache.prefill(0, keys, values)
+
+    def test_empty_cache_ratio_is_one(self):
+        ledger = KvCache(CacheConfig(layers=2, dim=8, bits=4)).ledger()
+        assert ledger.bytes_fp16_equivalent == 0
+        assert ledger.ratio == 1.0
 
 
 class TestAppend:

@@ -1,11 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dquant import MpoChain, ShapePlan, decompose, plan_shapes, reconstruct, split_large_small
-from dquant import deco_quantize, mpo
-from dquant.errors import BondMismatch, DquantError, NonFiniteInput, ShapeMismatch
+from dquant import compression_report, deco_quantize, mpo, quantize_rtn
+from dquant.compress import factorize
+from dquant.errors import (
+    BondMismatch,
+    DquantError,
+    NonFiniteInput,
+    ShapeMismatch,
+    UnsupportedBits,
+)
 
 
 def rand(shape, seed=0):
@@ -48,6 +57,15 @@ class TestPlanShapes:
             plan_shapes(4, 4, 1)
         with pytest.raises(ShapeMismatch):
             plan_shapes(0, 4, 2)
+
+    @pytest.mark.parametrize(
+        "i_factors,j_factors,match",
+        [((2, 2), (2,), "equal length"), ((4,), (4,), "two positions"),
+         ((2, 0), (2, 2), ">= 1")],
+    )
+    def test_shape_plan_checks(self, i_factors, j_factors, match):
+        with pytest.raises(ShapeMismatch, match=match):
+            ShapePlan(i_factors, j_factors)
 
 
 class TestDecompose:
@@ -152,6 +170,38 @@ class TestReconstruct:
     def test_one_core_chain(self):
         with pytest.raises(DquantError):
             MpoChain((np.zeros((1, 4, 4, 1), np.float32),))
+
+    @pytest.mark.parametrize("first,last", [(2, 1), (1, 2)])
+    def test_outer_bonds_must_be_one(self, first, last):
+        with pytest.raises(BondMismatch, match="outer"):
+            MpoChain(
+                (
+                    np.zeros((first, 2, 2, 3), np.float32),
+                    np.zeros((3, 2, 2, last), np.float32),
+                )
+            )
+
+
+class TestChainWidth:
+    def test_read_off_the_packed_cores(self):
+        m = rand((64, 64), 6)
+        first, last = factorize(m, 2).local_tensors
+        assert MpoChain((first, last)).bits is None
+        chain = MpoChain((first, quantize_rtn(last, 8)))
+        assert chain.bits == 8
+        # 64 * 64 8-bit codes, one 16-bit scale and 64 float values at 16 bits
+        assert compression_report(chain).ratio == pytest.approx(0.516, abs=1e-3)
+
+    def test_packed_cores_of_two_widths(self):
+        cores = factorize(rand((120, 72), 7), 3).local_tensors
+        packed = (cores[0], quantize_rtn(cores[1], 4), quantize_rtn(cores[2], 8))
+        with pytest.raises(UnsupportedBits):
+            MpoChain(packed)
+
+    def test_bits_is_not_a_constructor_argument(self):
+        core = np.zeros((1, 2, 2, 1), np.float32)
+        with pytest.raises(TypeError):
+            MpoChain((core, core), 4)
 
 
 class TestSplitLargeSmall:
@@ -277,3 +327,28 @@ class TestGramSplit:
         chain = decompose(m, plan)
         assert chain.bond_dims == (min(mat.shape),)
         assert rel_err(m, reconstruct(chain)) < 1e-6
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        case=split_inputs(),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        at=st.integers(0, 2**32 - 1),
+    )
+    def test_any_non_finite_entry_is_rejected(self, case, bad, dtype, at):
+        plan, m = case
+        m = m.astype(dtype)
+        m.flat[at % m.size] = bad
+        with pytest.raises(NonFiniteInput):
+            decompose(m, plan)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (512, 1), (96, 60)])
+    @pytest.mark.parametrize("big", [1e200, np.inf])
+    def test_entries_too_large_to_square_are_rejected(self, shape, big):
+        # finite float64 entries whose Gram matrix overflows to infinity, or
+        # all-infinite ones: a typed error, with no floating-point warning
+        m = rand(shape, 8).astype(np.float64) * big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput):
+                decompose(m, plan_shapes(*shape, 2))
