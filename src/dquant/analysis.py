@@ -289,19 +289,14 @@ def write_outliers_csv(rows, path):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(OUTLIERS_CSV_COLUMNS)
-        for label, st in rows:
-            writer.writerow(
-                [label, repr(st.q1), repr(st.q3), repr(st.iqr), st.outlier_count,
-                 st.total_count]
-            )
+        writer.writerows(
+            (label, st.q1, st.q3, st.iqr, st.outlier_count, st.total_count)
+            for label, st in rows
+        )
 
 
 def write_errors_csv(records, path):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(ERRORS_CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.method, r.bits, r.n, r.seed, repr(r.frobenius_error),
-                 repr(r.relative_error), repr(r.param_overhead)]
-            )
+        writer.writerows([getattr(r, c) for c in ERRORS_CSV_COLUMNS] for r in records)

@@ -3,11 +3,14 @@
 Lifecycle: prefill stores each of K and V as one compressed segment;
 decode appends full-precision rows to a tail buffer, and the moment the
 tail reaches `chunk_len` rows it is compressed into a new immutable
-segment and the tail resets.
+segment and the tail resets. An appended K or V row must be finite: a
+row with a NaN or infinity raises NonFiniteInput before it is written, so
+the cache is left as it was.
 
 Every read walks the same parts, the segments and then the live tail as
-one more dense part, and counts each part's stored bytes as read traffic;
-a segment's byte count is fixed once, when it is sealed or prefilled.
+one more dense part. One byte rule counts them, for read traffic and for
+the ledger alike: a side's stored bytes are the bytes of its segments,
+each fixed once when the segment is sealed, plus 2 * tail_len * dim.
 attention_scores streams quantized segments through the fused multiply,
 so it makes no full-precision copy of a segment; read_keys and
 read_values rebuild each segment in full with deco_dequantize.
@@ -22,7 +25,7 @@ their true size, one 2-byte scale per quantized core.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import median
 
 import numpy as np
@@ -38,10 +41,11 @@ from .errors import (
     DimMismatch,
     InvariantViolated,
     LayerOutOfRange,
+    NonFiniteInput,
     ShapeMismatch,
 )
-from .mpo import MpoChain
-from .quantize import SUPPORTED_BITS, UnsupportedBits
+from .mpo import MpoChain, _check_size
+from .quantize import _check_bits
 
 TRACE_COLUMNS = (
     "step",
@@ -56,6 +60,13 @@ TRACE_COLUMNS = (
 
 @dataclass(frozen=True)
 class CacheConfig:
+    """Cache shape and settings, stored as Python ints.
+
+    layers, dim and chunk_len must be integers >= 1 and n an integer >= 2,
+    else ShapeMismatch (numpy integers pass). bits is None (full-precision
+    mode) or passes quantize._check_bits, the one bit-width rule.
+    """
+
     layers: int
     dim: int
     bits: int = None  # None = full-precision mode
@@ -63,14 +74,10 @@ class CacheConfig:
     n: int = 2
 
     def __post_init__(self):
-        if self.layers < 1 or self.dim < 1:
-            raise ShapeMismatch("layers and dim must be >= 1")
-        if self.chunk_len < 1:
-            raise ShapeMismatch("chunk_len must be >= 1")
-        if self.bits is not None and self.bits not in SUPPORTED_BITS:
-            raise UnsupportedBits(f"bits must be in {SUPPORTED_BITS} or None")
-        if self.n < 2:
-            raise ShapeMismatch("decomposition length must be >= 2")
+        for name, least in (("layers", 1), ("dim", 1), ("chunk_len", 1), ("n", 2)):
+            object.__setattr__(self, name, _check_size(getattr(self, name), name, least))
+        if self.bits is not None:
+            object.__setattr__(self, "bits", _check_bits(self.bits))
 
 
 @dataclass(frozen=True)
@@ -86,11 +93,9 @@ class MemoryLedger:
         return self.bytes_actual / self.bytes_fp16_equivalent
 
 
-def _stored_bytes(part) -> int:
-    """Bytes a segment or tail part occupies at the 16-bit baseline."""
-    if isinstance(part, MpoChain):
-        return compression_report(part).bytes_compressed
-    return part.size * 2
+def _stored_side(lc, segment_bytes) -> int:
+    """Stored bytes of one side of a layer: its segments, then its tail at 2 B/value."""
+    return sum(segment_bytes) + 2 * lc.tail_len * lc.config.dim
 
 
 class LayerCache:
@@ -102,7 +107,7 @@ class LayerCache:
         self.value_segments = []
         self.key_segment_bytes = []  # stored bytes of each segment, counted once
         self.value_segment_bytes = []
-        self._seg_rows = []  # token rows per segment
+        self._sealed = 0  # token rows held in the segments
         d = config.dim
         self.key_tail = np.zeros((config.chunk_len, d), dtype=np.float32)
         self.value_tail = np.zeros((config.chunk_len, d), dtype=np.float32)
@@ -110,21 +115,24 @@ class LayerCache:
 
     @property
     def tokens(self) -> int:
-        return sum(self._seg_rows) + self.tail_len
-
-    def _compress(self, block: np.ndarray):
-        if self.config.bits is None:
-            return np.array(block, dtype=np.float32, order="C")
-        return deco_quantize(block, self.config.bits, self.config.n)
+        return self._sealed + self.tail_len
 
     def _seal(self, keys: np.ndarray, values: np.ndarray):
-        """Compress a block of rows into a new segment; count its bytes once."""
-        k, v = self._compress(keys), self._compress(values)
+        """Seal K and V into a segment each, counting its bytes; a failure adds neither."""
+        sealed = []
+        for block in (keys, values):
+            if self.config.bits is None:
+                seg = np.array(block, dtype=np.float32, order="C")
+                sealed.append((seg, 2 * seg.size))
+            else:
+                seg = deco_quantize(block, self.config.bits, self.config.n)
+                sealed.append((seg, compression_report(seg).bytes_compressed))
+        (k, k_bytes), (v, v_bytes) = sealed
         self.key_segments.append(k)
         self.value_segments.append(v)
-        self.key_segment_bytes.append(_stored_bytes(k))
-        self.value_segment_bytes.append(_stored_bytes(v))
-        self._seg_rows.append(keys.shape[0])
+        self.key_segment_bytes.append(k_bytes)
+        self.value_segment_bytes.append(v_bytes)
+        self._sealed += keys.shape[0]
 
     def prefill(self, keys: np.ndarray, values: np.ndarray):
         if self.tokens:
@@ -146,6 +154,8 @@ class LayerCache:
         v_row = np.asarray(v_row, dtype=np.float32).reshape(-1)
         if k_row.shape != (self.config.dim,) or v_row.shape != (self.config.dim,):
             raise DimMismatch(f"rows must have width {self.config.dim}")
+        if not (np.isfinite(k_row).all() and np.isfinite(v_row).all()):
+            raise NonFiniteInput("appended key and value rows must be finite")
         self.key_tail[self.tail_len] = k_row
         self.value_tail[self.tail_len] = v_row
         self.tail_len += 1
@@ -160,23 +170,6 @@ class LayerCache:
     def value_parts(self) -> list:
         """The value segments, then the live tail as one more dense part."""
         return self.value_segments + [self.value_tail[: self.tail_len]]
-
-    def key_bytes(self) -> int:
-        """Stored bytes of key_parts()."""
-        return sum(self.key_segment_bytes) + _stored_bytes(
-            self.key_tail[: self.tail_len]
-        )
-
-    def value_bytes(self) -> int:
-        """Stored bytes of value_parts()."""
-        return sum(self.value_segment_bytes) + _stored_bytes(
-            self.value_tail[: self.tail_len]
-        )
-
-    def ledger_bytes(self):
-        actual = self.key_bytes() + self.value_bytes()
-        fp16 = 2 * self.tokens * self.config.dim * 2  # K and V at 2 bytes/value
-        return fp16, actual
 
 
 class KvCache:
@@ -198,8 +191,8 @@ class KvCache:
     def append_token(self, layer: int, k_row, v_row):
         self._layer(layer).append(k_row, v_row)
 
-    def _read(self, parts: list, stored_bytes: int) -> np.ndarray:
-        self.bytes_moved_read += stored_bytes
+    def _read(self, lc: LayerCache, parts: list, segment_bytes: list) -> np.ndarray:
+        self.bytes_moved_read += _stored_side(lc, segment_bytes)
         return np.concatenate(
             [deco_dequantize(p) if isinstance(p, MpoChain) else p for p in parts],
             axis=0,
@@ -207,11 +200,11 @@ class KvCache:
 
     def read_keys(self, layer: int) -> np.ndarray:
         lc = self._layer(layer)
-        return self._read(lc.key_parts(), lc.key_bytes())
+        return self._read(lc, lc.key_parts(), lc.key_segment_bytes)
 
     def read_values(self, layer: int) -> np.ndarray:
         lc = self._layer(layer)
-        return self._read(lc.value_parts(), lc.value_bytes())
+        return self._read(lc, lc.value_parts(), lc.value_segment_bytes)
 
     def attention_scores(self, layer: int, q_row: np.ndarray) -> np.ndarray:
         """q @ K^T / sqrt(D), streaming quantized segments (1 x T)."""
@@ -219,7 +212,7 @@ class KvCache:
         q_row = np.asarray(q_row, dtype=np.float32).reshape(1, -1)
         if q_row.shape[1] != self.config.dim:
             raise DimMismatch(f"query width {q_row.shape[1]} != {self.config.dim}")
-        self.bytes_moved_read += lc.key_bytes()
+        self.bytes_moved_read += _stored_side(lc, lc.key_segment_bytes)
         q64 = q_row.astype(np.float64)
         scores = np.concatenate(
             [
@@ -230,14 +223,14 @@ class KvCache:
             ],
             axis=1,
         )
-        return (scores / np.float32(np.sqrt(self.config.dim))).astype(np.float32)
+        return scores / np.float32(np.sqrt(self.config.dim))
 
     def ledger(self) -> MemoryLedger:
         fp16 = actual = 0
         for lc in self.layers:
-            f, a = lc.ledger_bytes()
-            fp16 += f
-            actual += a
+            fp16 += 4 * lc.tokens * self.config.dim  # K and V at 2 B/value
+            actual += _stored_side(lc, lc.key_segment_bytes)
+            actual += _stored_side(lc, lc.value_segment_bytes)
         return MemoryLedger(fp16, actual, self.bytes_moved_read)
 
 
@@ -280,21 +273,19 @@ def simulate_generation(
     w_v = rng.standard_normal((config.layers, d, d)) / np.sqrt(d)
     w_q = rng.standard_normal((config.layers, d, d)) / np.sqrt(d)
 
-    cache = KvCache(config)
-    shadow = None
+    # the cache, then in audit mode its uncompressed shadow: fed the same rows
+    caches = [KvCache(config)]
     if audit:
-        shadow = KvCache(
-            CacheConfig(config.layers, d, None, config.chunk_len, config.n)
-        )
+        caches.append(KvCache(replace(config, bits=None)))
+    cache = caches[0]
 
     for layer in range(config.layers):
         if prompt_len:
             h = rng.standard_normal((prompt_len, d))
             keys = (h @ w_k[layer]).astype(np.float32)
             values = (h @ w_v[layer]).astype(np.float32)
-            cache.prefill(layer, keys, values)
-            if shadow is not None:
-                shadow.prefill(layer, keys, values)
+            for c in caches:
+                c.prefill(layer, keys, values)
     _check_invariants(cache, prompt_len)
 
     def snapshot(step, tokens, deviation):
@@ -318,14 +309,12 @@ def simulate_generation(
             v_row = (h @ w_v[layer]).astype(np.float32)
             if audit and cache.layers[layer].tokens:
                 q_row = (h @ w_q[layer]).astype(np.float32)
-                got = cache.attention_scores(layer, q_row)
-                ref = shadow.attention_scores(layer, q_row)
+                got, ref = (c.attention_scores(layer, q_row) for c in caches)
                 denom = float(np.linalg.norm(ref))
                 dev = float(np.linalg.norm(got - ref)) / denom if denom else 0.0
                 deviations.append(dev)
-            cache.append_token(layer, k_row, v_row)
-            if shadow is not None:
-                shadow.append_token(layer, k_row, v_row)
+            for c in caches:
+                c.append_token(layer, k_row, v_row)
         _check_invariants(cache, prompt_len + step)
         dev = median(deviations) if deviations else None
         trace.append(snapshot(step, prompt_len + step, dev))
@@ -337,8 +326,4 @@ def write_trace_csv(trace, path):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(TRACE_COLUMNS)
-        for row in trace:
-            out = [row[c] for c in TRACE_COLUMNS[:-1]]
-            dev = row["score_deviation"]
-            out.append("" if dev is None else repr(dev))
-            writer.writerow(out)
+        writer.writerows([row[c] for c in TRACE_COLUMNS] for row in trace)

@@ -44,6 +44,7 @@ not affect the product.
 
 from dataclasses import dataclass, field
 from math import prod
+from numbers import Integral
 
 import numpy as np
 
@@ -54,6 +55,13 @@ FACTOR_CAP = 8
 SPLIT_BLOCK = 1 << 19  # float64 values per column block of a split's projection
 
 
+def _check_size(value, what, least=1) -> int:
+    """value as an int if an integer >= least (numpy ones too), else ShapeMismatch."""
+    if not isinstance(value, Integral) or value < least:
+        raise ShapeMismatch(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ShapePlan:
     """How each matrix dimension splits across the chain."""
@@ -62,14 +70,13 @@ class ShapePlan:
     j_factors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "i_factors", tuple(int(f) for f in self.i_factors))
-        object.__setattr__(self, "j_factors", tuple(int(f) for f in self.j_factors))
+        for name in ("i_factors", "j_factors"):
+            factors = tuple(_check_size(f, "factors") for f in getattr(self, name))
+            object.__setattr__(self, name, factors)
         if len(self.i_factors) != len(self.j_factors):
             raise ShapeMismatch("factor lists must have equal length")
         if len(self.i_factors) < 2:
             raise ShapeMismatch("a plan needs at least two positions")
-        if any(f < 1 for f in self.i_factors + self.j_factors):
-            raise ShapeMismatch("factors must be >= 1")
 
     @property
     def n(self) -> int:
@@ -108,10 +115,8 @@ def plan_shapes(rows: int, cols: int, n: int = 2) -> ShapePlan:
     core carries the dominant share of the parameters. Prime dimensions
     peel 1 (or themselves when <= 8); nothing is ever padded.
     """
-    if rows < 1 or cols < 1:
-        raise ShapeMismatch("dimensions must be >= 1")
-    if n < 2:
-        raise ShapeMismatch("chain length must be >= 2")
+    rows, cols = _check_size(rows, "rows"), _check_size(cols, "cols")
+    n = _check_size(n, "chain length n", 2)
 
     def peel(size):
         factors = []

@@ -38,6 +38,7 @@ rounds once, as a float32 multiply of code and scale does.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,18 @@ SUPPORTED_BITS = (2, 4, 8)
 QUANT_BLOCK = 1 << 16  # elements quantized per float64 pass
 
 
-def _check_bits(bits):
-    if bits not in SUPPORTED_BITS:
-        raise UnsupportedBits(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
+def _check_bits(bits) -> int:
+    """The one bit-width rule: bits as an int, else UnsupportedBits.
+
+    Integers in SUPPORTED_BITS pass, numpy ones too; 4.0 and None do not.
+    """
+    try:
+        width = operator.index(bits)
+    except TypeError:
+        width = None
+    if width not in SUPPORTED_BITS:
+        raise UnsupportedBits(f"bits must be one of {SUPPORTED_BITS}, got {bits!r}")
+    return width
 
 
 def payload_size(count: int, bits: int) -> int:
@@ -68,7 +78,7 @@ class QuantizedTensor:
     payload: bytes
 
     def __post_init__(self):
-        _check_bits(self.bits)
+        object.__setattr__(self, "bits", _check_bits(self.bits))
         object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
         if not 0 < self.scale < np.inf:
             raise CorruptPayload(f"scale must be positive and finite, got {self.scale}")
@@ -103,7 +113,7 @@ def pack(values, bits: int) -> bytes:
     The range check runs on the values as given, before they are narrowed
     to int8 and handed to the packer quantize_rtn uses.
     """
-    _check_bits(bits)
+    bits = _check_bits(bits)
     v = np.asarray(values).ravel()
     qmax = (1 << (bits - 1)) - 1
     if v.size and (v.min() < -qmax or v.max() > qmax):
@@ -139,7 +149,7 @@ def _pack_into(codes, bits, out):
 
 def unpack(payload: bytes, count: int, bits: int) -> np.ndarray:
     """Inverse of pack; returns int8 codes."""
-    _check_bits(bits)
+    bits = _check_bits(bits)
     if len(payload) != payload_size(count, bits):
         raise CorruptPayload(
             f"payload is {len(payload)} bytes, expected {payload_size(count, bits)}"
@@ -162,7 +172,7 @@ def unpack_range(
     that starts and ends on byte boundaries is gathered straight into it,
     any other range is gathered fresh and copied.
     """
-    _check_bits(bits)
+    bits = _check_bits(bits)
     per = 8 // bits
     byte0 = start // per
     byte1 = (start + count + per - 1) // per
@@ -210,7 +220,7 @@ def quantize_rtn(t: np.ndarray, bits: int) -> QuantizedTensor:
     all-zero input gets scale 1.0 and all-zero codes so that dequantization
     reproduces it exactly.
     """
-    _check_bits(bits)
+    bits = _check_bits(bits)
     t = np.asarray(t)
     # max and min propagate NaN and reach any infinity: no separate pass
     hi, lo = (float(t.max()), float(t.min())) if t.size else (0.0, 0.0)

@@ -14,12 +14,14 @@ from dquant import (
 )
 from dquant.analysis import (
     ERRORS_CSV_COLUMNS,
+    ErrorRecord,
     METHOD_BOTH,
     METHOD_MATRIX_RTN,
     METHOD_QR,
     METHOD_SVD,
     METHOD_TL_ONLY,
     OUTLIERS_CSV_COLUMNS,
+    OutlierStats,
     _quantize_larger,
     median_by,
     write_errors_csv,
@@ -259,6 +261,33 @@ class TestCsvWriters:
         write_outliers_csv(rows, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().splitlines()[0] == ",".join(OUTLIERS_CSV_COLUMNS)
+
+    def test_outliers_bytes(self, tmp_path):
+        rows = [
+            ("matrix", OutlierStats(0.1 + 0.2, -0.0, 1e-300, 0.0, 0.0, 3, 7)),
+            ("t_large",
+             OutlierStats(np.float64(0.1), float("nan"), float("inf"), 0, 0, 0, 1)),
+        ]
+        path = tmp_path / "outliers.csv"
+        write_outliers_csv(rows, path)
+        assert path.read_bytes() == (
+            b"tensor_label,q1,q3,iqr,outlier_count,total\r\n"
+            b"matrix,0.30000000000000004,-0.0,1e-300,3,7\r\n"
+            b"t_large,0.1,nan,inf,0,1\r\n"
+        )
+
+    def test_errors_bytes(self, tmp_path):
+        records = [
+            ErrorRecord(METHOD_TL_ONLY, 4, 2, 0, 0.1 + 0.2, -0.0, 1e-300),
+            ErrorRecord(METHOD_QR, 8, 3, 5, float("nan"), float("inf"), 0.5),
+        ]
+        path = tmp_path / "errors.csv"
+        write_errors_csv(records, path)
+        assert path.read_bytes() == (
+            b"method,bits,n,seed,frobenius_error,relative_error,param_overhead\r\n"
+            + f"{METHOD_TL_ONLY},4,2,0,0.30000000000000004,-0.0,1e-300\r\n".encode()
+            + f"{METHOD_QR},8,3,5,nan,inf,0.5\r\n".encode()
+        )
 
     def test_errors_schema(self, tmp_path):
         records = strategy_sweep(small_suite(1), (4,))

@@ -62,3 +62,24 @@ def test_two_topics_share_one_file(tmp_path, monkeypatch):
     assert sorted((c["case"], c["min_s"]) for c in cases) == [
         ("compress.fused_matmul", 2.0), ("mpo.decompose", 3.0)
     ]
+
+
+def test_digests_script_prints_one_line_per_case():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "bench/digests.py"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    cases = [line.split(" ")[0] for line in lines]
+    assert len(set(cases)) == len(cases) == 132
+    assert all(len(line.split(" ")[1]) == 64 for line in lines)
+    for case in ("dqz1.120x72.n3.b2", "fused_matmul_t.7x301.n2.b8.p64",
+                 "kv-sim.b4.audit", "kv-sim.b16", "bench.strategies",
+                 "kvcache.b4.read_values", "kvcache.b16.ledger"):
+        assert case in cases

@@ -44,6 +44,11 @@ def spy_slab_matmul(monkeypatch):
 
 
 class TestDecoQuantize:
+    @pytest.mark.parametrize("n", [2.5, 2.0])
+    def test_chain_length_must_be_an_integer(self, n):
+        with pytest.raises(ShapeMismatch):
+            deco_quantize(rand((16, 16)), 4, n=n)
+
     def test_zero_matrix(self):
         q = deco_quantize(np.zeros((16, 16), np.float32), 4)
         for t in q.quantized_locals:

@@ -18,6 +18,7 @@ from dquant.errors import (
     DimMismatch,
     InvariantViolated,
     LayerOutOfRange,
+    NonFiniteInput,
     ShapeMismatch,
     UnsupportedBits,
 )
@@ -40,6 +41,30 @@ def kv(rows, dim, seed=0):
 def test_config_checks(field, error):
     with pytest.raises(error):
         CacheConfig(layers=1, dim=8, **field)
+
+
+@pytest.mark.parametrize(
+    "field,error",
+    [({"chunk_len": 2.5}, ShapeMismatch), ({"layers": 2.0}, ShapeMismatch),
+     ({"dim": 8.0}, ShapeMismatch), ({"n": 2.0}, ShapeMismatch),
+     ({"bits": 4.0}, UnsupportedBits), ({"bits": "4"}, UnsupportedBits)],
+)
+def test_config_sizes_and_bits_must_be_integers(field, error):
+    with pytest.raises(error):
+        CacheConfig(**{"layers": 1, "dim": 8, **field})
+
+
+def test_config_stores_numpy_integers_as_ints():
+    cfg = CacheConfig(np.int64(2), np.int32(8), np.int8(4), np.int64(4), np.int16(2))
+    assert cfg == CacheConfig(2, 8, 4, 4, 2)
+    sizes = (cfg.layers, cfg.dim, cfg.bits, cfg.chunk_len, cfg.n)
+    assert all(type(v) is int for v in sizes)
+    cache = KvCache(cfg)
+    for layer in range(2):
+        cache.prefill(layer, *kv(6, 8, layer))
+        for k_row, v_row in zip(*kv(5, 8, layer + 2)):
+            cache.append_token(layer, k_row, v_row)
+    assert cache.read_keys(1).shape == (11, 8)
 
 
 class TestPrefill:
@@ -151,6 +176,87 @@ class TestAppend:
         cache = KvCache(CacheConfig(layers=1, dim=8, bits=4))
         with pytest.raises(DimMismatch):
             cache.append_token(0, np.zeros(9, np.float32), np.zeros(8, np.float32))
+
+
+class TestNonFiniteRows:
+    @pytest.mark.parametrize("bits", [4, None])
+    @pytest.mark.parametrize("before", [1, 3])  # mid-chunk, and the row that would seal
+    @pytest.mark.parametrize("side", ["key", "value"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refused_before_it_is_written(self, bits, before, side, bad):
+        cache = KvCache(CacheConfig(layers=1, dim=8, bits=bits, chunk_len=4))
+        cache.prefill(0, *kv(6, 8, 1))
+        k, v = kv(before + 6, 8, 2)
+        for k_row, v_row in zip(k[:before], v[:before]):
+            cache.append_token(0, k_row, v_row)
+        lc = cache.layers[0]
+        tail_keys = lc.key_tail.copy()
+        ledger = cache.ledger()
+        k_bad, v_bad = k[before].copy(), v[before].copy()
+        (k_bad if side == "key" else v_bad)[2] = bad
+        with pytest.raises(NonFiniteInput):
+            cache.append_token(0, k_bad, v_bad)
+        assert lc.tokens == 6 + before and lc.tail_len == before
+        np.testing.assert_array_equal(lc.key_tail, tail_keys)
+        assert cache.ledger() == ledger
+        _check_invariants(cache, 6 + before)
+        # later finite rows seal and read finite
+        for k_row, v_row in zip(k[before:], v[before:]):
+            cache.append_token(0, k_row, v_row)
+        _check_invariants(cache, 12 + before)
+        assert len(lc.key_segments) == 1 + (before + 6) // 4
+        assert np.isfinite(cache.attention_scores(0, k[0])).all()
+        keys, values = cache.read_keys(0), cache.read_values(0)
+        assert np.isfinite(keys).all() and np.isfinite(values).all()
+        if bits is None:
+            np.testing.assert_array_equal(keys[6:], k)
+
+    def test_quantized_prefill_of_a_nan_prompt_changes_nothing(self):
+        cache = KvCache(CacheConfig(layers=1, dim=8, bits=4, chunk_len=4))
+        k, v = kv(6, 8, 3)
+        v_bad = v.copy()
+        v_bad[4, 1] = np.nan
+        with pytest.raises(NonFiniteInput):
+            cache.prefill(0, k, v_bad)
+        lc = cache.layers[0]
+        assert lc.tokens == 0 and not lc.key_segments and not lc.value_segments
+        assert not lc.key_segment_bytes and not lc.value_segment_bytes
+        cache.prefill(0, k, v)
+        _check_invariants(cache, 6)
+
+
+class TestAccounting:
+    @pytest.mark.parametrize("bits", [4, None])
+    def test_tokens_and_ledger_follow_the_parts(self, bits):
+        dim = 16
+        cache = KvCache(CacheConfig(layers=2, dim=dim, bits=bits, chunk_len=8))
+        rng = np.random.default_rng(12)
+
+        def check():
+            ledger = cache.ledger()
+            actual = 0
+            for lc in cache.layers:
+                rows = sum(
+                    seg.rows if isinstance(seg, QuantizedMpo) else seg.shape[0]
+                    for seg in lc.key_segments
+                )
+                assert lc.tokens == rows + lc.tail_len
+                actual += sum(lc.key_segment_bytes) + sum(lc.value_segment_bytes)
+                actual += 4 * lc.tail_len * dim
+            assert ledger.bytes_actual == actual
+            tokens = sum(lc.tokens for lc in cache.layers)
+            assert ledger.bytes_fp16_equivalent == 4 * tokens * dim
+
+        check()
+        for layer in range(2):
+            cache.prefill(layer, *kv(11, dim, layer))
+        check()
+        for _ in range(29):  # three seals, then a tail of 5
+            for layer in range(2):
+                cache.append_token(layer, *rng.standard_normal((2, dim)))
+            check()
+        assert [len(lc.key_segments) for lc in cache.layers] == [4, 4]
+        assert [lc.tail_len for lc in cache.layers] == [5, 5]
 
 
 class TestReads:
@@ -314,6 +420,24 @@ class TestSimulate:
         write_trace_csv(t1, p1)
         write_trace_csv(t2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_trace_csv_bytes(self, tmp_path):
+        base = {c: i for i, c in enumerate(TRACE_COLUMNS)}
+        devs = [None, 0.1 + 0.2, -0.0, float("nan"), float("inf"), 1e-300, 0.5]
+        trace = [{**base, "step": i, "score_deviation": d} for i, d in enumerate(devs)]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == (
+            b"step,tokens,segments,bytes_actual,bytes_fp16_equivalent,"
+            b"bytes_moved_read,score_deviation\r\n"
+            b"0,1,2,3,4,5,\r\n"
+            b"1,1,2,3,4,5,0.30000000000000004\r\n"
+            b"2,1,2,3,4,5,-0.0\r\n"
+            b"3,1,2,3,4,5,nan\r\n"
+            b"4,1,2,3,4,5,inf\r\n"
+            b"5,1,2,3,4,5,1e-300\r\n"
+            b"6,1,2,3,4,5,0.5\r\n"
+        )
 
     def test_trace_schema(self, tmp_path):
         cfg = CacheConfig(layers=1, dim=16, bits=4, chunk_len=8)

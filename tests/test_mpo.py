@@ -67,6 +67,27 @@ class TestPlanShapes:
         with pytest.raises(ShapeMismatch, match=match):
             ShapePlan(i_factors, j_factors)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(16, 16, 2.0), (16, 16, 2.5), (16.0, 16, 2), (16, 16.5, 2), (16, 16, "2")],
+    )
+    def test_plan_sizes_must_be_integers(self, args):
+        with pytest.raises(ShapeMismatch, match="integer"):
+            plan_shapes(*args)
+
+    @pytest.mark.parametrize(
+        "i_factors,j_factors", [((2.5, 8), (4, 4)), ((2, 8), (4.0, 4))]
+    )
+    def test_shape_plan_factors_must_be_integers(self, i_factors, j_factors):
+        with pytest.raises(ShapeMismatch, match="integer"):
+            ShapePlan(i_factors, j_factors)
+
+    def test_numpy_integer_sizes_act_as_ints(self):
+        plan = plan_shapes(np.int64(48), np.int32(40), np.int8(3))
+        assert plan == plan_shapes(48, 40, 3)
+        factors = ShapePlan((np.int64(2), np.uint8(8)), (np.int16(4), 4)).i_factors
+        assert factors == (2, 8) and all(type(f) is int for f in factors)
+
 
 class TestDecompose:
     def test_identity_exact(self):

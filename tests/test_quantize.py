@@ -69,6 +69,39 @@ class TestQuantizeRtn:
             quantize_rtn(np.array([np.inf], dtype=np.float32), 8)
 
 
+class TestBitWidthRule:
+    @pytest.mark.parametrize("bits", [4.0, 2.0, "4", None, 4.5])
+    def test_non_integer_widths_raise_unsupported_bits(self, bits):
+        t = np.arange(-3, 4, dtype=np.float32)
+        calls = [
+            lambda: quantize_rtn(t, bits),
+            lambda: pack([1, -1], bits),
+            lambda: unpack(b"\xf1", 2, bits),
+            lambda: unpack_range(b"\xf1", 0, 2, bits),
+            lambda: QuantizedTensor((2,), bits, 1.0, b"\xf1"),
+            lambda: deco_quantize(np.eye(16, dtype=np.float32), bits),
+        ]
+        for call in calls:
+            with pytest.raises(UnsupportedBits):
+                call()
+
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    @pytest.mark.parametrize("kind", [np.int8, np.int16, np.int64, np.uint8])
+    def test_numpy_integer_widths_act_as_ints(self, bits, kind):
+        t = np.random.default_rng(bits).standard_normal(37).astype(np.float32)
+        want = quantize_rtn(t, bits)
+        got = quantize_rtn(t, kind(bits))
+        assert got == want and type(got.bits) is int
+        codes = want.codes()
+        assert pack(codes, kind(bits)) == want.payload
+        np.testing.assert_array_equal(unpack(want.payload, t.size, kind(bits)), codes)
+        np.testing.assert_array_equal(
+            unpack_range(want.payload, 3, 20, kind(bits)), codes[3:23]
+        )
+        q = QuantizedTensor(want.shape, kind(bits), want.scale, want.payload)
+        assert q == want and type(q.bits) is int
+
+
 class TestDequantize:
     def test_zero_roundtrip_exact(self):
         t = np.zeros((2, 5), np.float32)
