@@ -14,7 +14,7 @@ import numpy as np
 from . import mpo
 from .compress import deco_dequantize, factorize
 from .errors import EmptyInput, ShapeMismatch
-from .quantize import dequantize, quantize_rtn
+from .quantize import _check_size, dequantize, quantize_rtn
 
 # Synthetic-activation structure: a correlated base built from sign
 # patterns on dyadic grids with Gaussian coefficients, each column then
@@ -134,9 +134,11 @@ def synth_activations(
     exactly that factor, mimicking the channel-concentrated outliers of
     transformer activations. Deterministic for a fixed seed.
     """
-    if outlier_cols > cols:
+    rows, cols = _check_size(rows, "rows"), _check_size(cols, "cols")
+    _check_size(seed, "seed", 0)
+    if _check_size(outlier_cols, "outlier_cols", 0) > cols:
         raise ShapeMismatch("outlier_cols cannot exceed cols")
-    if outlier_scale < 1:
+    if not outlier_scale >= 1:  # NaN too
         raise ShapeMismatch("outlier_scale must be >= 1")
     rng = np.random.default_rng(seed)
     pairs = _pattern_pairs(rows, cols, SYNTH_TERMS)

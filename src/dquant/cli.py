@@ -3,12 +3,12 @@
 Exit codes: 0 success; 2 malformed input or usage error (MalformedFile,
 or any OSError, such as a missing input or an --out / --csv in a missing
 directory); 3 invalid parameters (any other DquantError); 4 unknown
-subcommand or experiment. `main` is the only owner of the map from a
-raised failure to its code, reported as one `error:` line on stderr;
-subcommands return a code themselves only from the cheap parameter checks
-they make before an expensive read or compute. Machine-readable summaries
-go to stdout as single JSON lines; human-readable tables go to stderr
-under --verbose.
+subcommand or experiment. Handlers report a failure only by raising, and
+`main` alone maps it to its code, reported as one `error:` line on
+stderr; a handler checks its parameters with the library's own rules
+(quantize._check_bits, quantize._check_size) before it reads a file.
+Machine-readable summaries go to stdout as single JSON lines;
+human-readable tables go to stderr under --verbose.
 """
 
 import argparse
@@ -19,8 +19,8 @@ import numpy as np
 
 from . import analysis, formats, kvcache
 from .compress import compression_report, deco_dequantize, deco_quantize
-from .errors import DquantError, MalformedFile
-from .quantize import SUPPORTED_BITS
+from .errors import DquantError, MalformedFile, ShapeMismatch, UnsupportedBits
+from .quantize import _check_bits, _check_size
 
 EXIT_OK = 0
 EXIT_MALFORMED = 2
@@ -49,10 +49,8 @@ def _read_float_matrix(path):
 
 
 def cmd_quantize(args):
-    if args.bits not in SUPPORTED_BITS:
-        return _fail(EXIT_BAD_PARAMS, f"unsupported bits {args.bits}")
-    if args.n < 2:
-        return _fail(EXIT_BAD_PARAMS, "decomposition length must be >= 2")
+    _check_bits(args.bits)
+    _check_size(args.n, "chain length n", 2)
     q = deco_quantize(_read_float_matrix(args.input), args.bits, args.n)
     formats.write_mpo(args.out, q)
     report = compression_report(q)
@@ -75,7 +73,7 @@ def cmd_dequantize(args):
 
 def cmd_analyze_outliers(args):
     if args.n != 2:
-        return _fail(EXIT_BAD_PARAMS, "outlier analysis is defined for n=2")
+        raise ShapeMismatch("outlier analysis is defined for n=2")
     mat, large, small = analysis.migration_report(_read_float_matrix(args.input))
     rows = [("matrix", mat), ("t_large", large), ("t_small", small)]
     analysis.write_outliers_csv(rows, args.csv)
@@ -94,11 +92,10 @@ def cmd_bench(args):
     try:
         bits_list = tuple(int(b) for b in args.bits.split(","))
     except ValueError:
-        return _fail(EXIT_BAD_PARAMS, f"cannot parse bits list {args.bits!r}")
-    if any(b not in SUPPORTED_BITS for b in bits_list):
-        return _fail(EXIT_BAD_PARAMS, f"bits must be from {SUPPORTED_BITS}")
-    if args.seeds < 1:
-        return _fail(EXIT_BAD_PARAMS, "seeds must be >= 1")
+        raise UnsupportedBits(f"cannot parse bits list {args.bits!r}") from None
+    for b in bits_list:
+        _check_bits(b)
+    _check_size(args.seeds, "seeds")
     if args.experiment not in EXPERIMENTS:
         return _fail(EXIT_UNKNOWN, f"unknown experiment {args.experiment!r}")
     suite = analysis.default_suite(seeds=range(args.seeds))
@@ -161,8 +158,8 @@ def cmd_kv_sim(args):
 
 
 def cmd_import_raw(args):
-    if args.rows < 1 or args.cols < 1:
-        return _fail(EXIT_BAD_PARAMS, "rows and cols must be >= 1")
+    _check_size(args.rows, "rows")
+    _check_size(args.cols, "cols")
     raw = np.fromfile(args.input, dtype="<f4")
     if raw.size != args.rows * args.cols:
         raise MalformedFile(

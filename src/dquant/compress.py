@@ -58,7 +58,7 @@ import numpy as np
 
 from . import mpo
 from .errors import ShapeMismatch
-from .quantize import QuantizedTensor, quantize_rtn, unpack_range
+from .quantize import QuantizedTensor, _check_bits, quantize_rtn, unpack_range
 
 TILE_ELEMENTS = 64 * 64
 FP_CORE_SHARE = 64  # the first core holds at most 1/64 of the matrix's values
@@ -143,6 +143,7 @@ def deco_quantize(m: np.ndarray, bits: int, n: int = 2) -> mpo.MpoChain:
     core holds at most max(1, rows*cols/64) values, and every left-bond
     slice of a packed core reaches +-qmax unless it is all zero.
     """
+    bits = _check_bits(bits)
     chain = factorize(m, n)
     cores = [chain.local_tensors[0]]
     cores += [quantize_rtn(t, bits) for t in chain.local_tensors[1:]]

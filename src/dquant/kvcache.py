@@ -42,10 +42,9 @@ from .errors import (
     InvariantViolated,
     LayerOutOfRange,
     NonFiniteInput,
-    ShapeMismatch,
 )
-from .mpo import MpoChain, _check_size
-from .quantize import _check_bits
+from .mpo import MpoChain
+from .quantize import _check_bits, _check_size
 
 TRACE_COLUMNS = (
     "step",
@@ -62,9 +61,8 @@ TRACE_COLUMNS = (
 class CacheConfig:
     """Cache shape and settings, stored as Python ints.
 
-    layers, dim and chunk_len must be integers >= 1 and n an integer >= 2,
-    else ShapeMismatch (numpy integers pass). bits is None (full-precision
-    mode) or passes quantize._check_bits, the one bit-width rule.
+    layers, dim and chunk_len (>= 1) and n (>= 2) pass quantize._check_size,
+    and bits, unless None (full-precision mode), quantize._check_bits.
     """
 
     layers: int
@@ -265,8 +263,8 @@ def simulate_generation(
     Returns (final MemoryLedger, list of per-step trace dicts). Token
     conservation and the tail-length bound are checked every step.
     """
-    if prompt_len < 0 or gen_len < 0:
-        raise ShapeMismatch("lengths must be >= 0")
+    prompt_len, gen_len = (_check_size(t, "lengths", 0) for t in (prompt_len, gen_len))
+    _check_size(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     d = config.dim
     w_k = rng.standard_normal((config.layers, d, d)) / np.sqrt(d)

@@ -44,22 +44,14 @@ not affect the product.
 
 from dataclasses import dataclass, field
 from math import prod
-from numbers import Integral
 
 import numpy as np
 
 from .errors import BondMismatch, NonFiniteInput, ShapeMismatch, UnsupportedBits
-from .quantize import QuantizedTensor
+from .quantize import QuantizedTensor, _check_size
 
 FACTOR_CAP = 8
 SPLIT_BLOCK = 1 << 19  # float64 values per column block of a split's projection
-
-
-def _check_size(value, what, least=1) -> int:
-    """value as an int if an integer >= least (numpy ones too), else ShapeMismatch."""
-    if not isinstance(value, Integral) or value < least:
-        raise ShapeMismatch(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,12 @@ rounds once, as a float32 multiply of code and scale does.
 import math
 import operator
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import CorruptPayload, NonFiniteInput, RangeOverflow, UnsupportedBits
+from .errors import CorruptPayload, NonFiniteInput, RangeOverflow, ShapeMismatch
+from .errors import UnsupportedBits
 
 SUPPORTED_BITS = (2, 4, 8)
 QUANT_BLOCK = 1 << 16  # elements quantized per float64 pass
@@ -63,6 +65,13 @@ def _check_bits(bits) -> int:
     return width
 
 
+def _check_size(value, what, least=1) -> int:
+    """The one size rule: value as an int if an integer >= least, else ShapeMismatch."""
+    if not isinstance(value, Integral) or value < least:
+        raise ShapeMismatch(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def payload_size(count: int, bits: int) -> int:
     """Number of payload bytes for `count` packed codes."""
     return (count * bits + 7) // 8
@@ -79,7 +88,8 @@ class QuantizedTensor:
 
     def __post_init__(self):
         object.__setattr__(self, "bits", _check_bits(self.bits))
-        object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
+        shape = tuple(_check_size(d, "dimension", 0) for d in self.shape)
+        object.__setattr__(self, "shape", shape)
         if not 0 < self.scale < np.inf:
             raise CorruptPayload(f"scale must be positive and finite, got {self.scale}")
         expected = payload_size(self.count, self.bits)
