@@ -13,7 +13,7 @@ import numpy as np
 
 from . import mpo
 from .compress import deco_dequantize, factorize
-from .errors import EmptyInput, ShapeMismatch
+from .errors import EmptyInput, NonFiniteInput, ShapeMismatch
 from .quantize import _check_size, dequantize, quantize_rtn
 
 # Synthetic-activation structure: a correlated base built from sign
@@ -71,6 +71,8 @@ def iqr_stats(values) -> OutlierStats:
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
         raise EmptyInput("iqr_stats needs at least one value")
+    if not np.isfinite(v).all():
+        raise NonFiniteInput("iqr_stats requires finite values")
     s = np.sort(v)
     n = s.size
 

@@ -3,9 +3,10 @@
 Lifecycle: prefill stores each of K and V as one compressed segment;
 decode appends full-precision rows to a tail buffer, and the moment the
 tail reaches `chunk_len` rows it is compressed into a new immutable
-segment and the tail resets. An appended K or V row must be finite: a
-row with a NaN or infinity raises NonFiniteInput before it is written, so
-the cache is left as it was.
+segment and the tail resets. Prefilled and appended K and V rows must be
+finite, in both modes: one check (_check_finite) raises NonFiniteInput
+for a NaN or infinity before anything is written, so the cache is left
+as it was.
 
 Every read walks the same parts, the segments and then the live tail as
 one more dense part. One byte rule counts them, for read traffic and for
@@ -91,6 +92,12 @@ class MemoryLedger:
         return self.bytes_actual / self.bytes_fp16_equivalent
 
 
+def _check_finite(keys, values):
+    """NonFiniteInput unless every K and V entry is finite."""
+    if not (np.isfinite(keys).all() and np.isfinite(values).all()):
+        raise NonFiniteInput("key and value rows must be finite")
+
+
 def _stored_side(lc, segment_bytes) -> int:
     """Stored bytes of one side of a layer: its segments, then its tail at 2 B/value."""
     return sum(segment_bytes) + 2 * lc.tail_len * lc.config.dim
@@ -145,6 +152,7 @@ class LayerCache:
             )
         if keys.shape[0] == 0:
             return
+        _check_finite(keys, values)
         self._seal(keys, values)
 
     def append(self, k_row: np.ndarray, v_row: np.ndarray):
@@ -152,8 +160,7 @@ class LayerCache:
         v_row = np.asarray(v_row, dtype=np.float32).reshape(-1)
         if k_row.shape != (self.config.dim,) or v_row.shape != (self.config.dim,):
             raise DimMismatch(f"rows must have width {self.config.dim}")
-        if not (np.isfinite(k_row).all() and np.isfinite(v_row).all()):
-            raise NonFiniteInput("appended key and value rows must be finite")
+        _check_finite(k_row, v_row)
         self.key_tail[self.tail_len] = k_row
         self.value_tail[self.tail_len] = v_row
         self.tail_len += 1

@@ -90,6 +90,8 @@ class QuantizedTensor:
         object.__setattr__(self, "bits", _check_bits(self.bits))
         shape = tuple(_check_size(d, "dimension", 0) for d in self.shape)
         object.__setattr__(self, "shape", shape)
+        if not isinstance(self.payload, bytes):
+            raise CorruptPayload(f"payload is {type(self.payload).__name__}, not bytes")
         if not 0 < self.scale < np.inf:
             raise CorruptPayload(f"scale must be positive and finite, got {self.scale}")
         expected = payload_size(self.count, self.bits)
@@ -120,11 +122,16 @@ class QuantizedTensor:
 def pack(values, bits: int) -> bytes:
     """Bit-pack small signed integers (low bits first within each byte).
 
-    The range check runs on the values as given, before they are narrowed
-    to int8 and handed to the packer quantize_rtn uses.
+    The checks run on the values as given, before they are narrowed to
+    int8 and handed to the packer quantize_rtn uses: a value that is not a
+    whole number (0.5, NaN) or lies outside [-qmax, qmax] raises
+    RangeOverflow. Integral floats such as 3.0 pack as their integers.
     """
     bits = _check_bits(bits)
     v = np.asarray(values).ravel()
+    kind = v.dtype.kind
+    if not (kind in "biu" or kind == "f" and np.array_equal(v, np.trunc(v))):
+        raise RangeOverflow(f"values must be integers to pack at {bits} bits")
     qmax = (1 << (bits - 1)) - 1
     if v.size and (v.min() < -qmax or v.max() > qmax):
         raise RangeOverflow(f"values outside [-{qmax}, {qmax}] at {bits} bits")
