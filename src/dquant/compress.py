@@ -49,6 +49,24 @@ p): at i0 = 8, d = 64 (2048^2 and 4096^2) from p = 10 on, so p = 1 always
 sweeps. Besides the tile gathers, a slab step holds the slab and its block
 of W, d * TILE_ELEMENTS values each at full rank (d = i0 * j0): 1/16 of W at
 2048^2, 1/64 at 4096^2, all of W only when W is that small (512^2).
+
+fused_matmul_t has two contraction orders for x (p rows) @ W.T:
+
+* Sweep (any chain): right to left, x meets the packed C1 first, tile by
+  tile, then C0: p * j0 * d * i1 * (j1 + i0) mult-adds for n = 2, through
+  a (d * i1, j0 * p) intermediate (1 MB at 2048x128, p = 1).
+* Full precision first (n = 2, C1 packed, C0 full precision): x meets C0
+  first, z[k, j1, (p, i0)] = sum_j0 x * C0 (d * j1 * p * i0 values, 8K at
+  2048x128, p = 1), then C1's tiles, read as its (d * i1, j1) matrix, add
+  into one (i1, p * i0) accumulator; a tile whose rows cross a bond index
+  is split into views of it, and one made of whole (i1, j1) slices (small
+  segments) adds in one batched product. That is p * i0 * d * j1 * (i1 +
+  j0) mult-adds.
+
+Full precision first is taken when it does no more mult-adds: i0 * j1 *
+(i1 + j0) <= j0 * i1 * (j1 + i0), so tall and square chains (2048x128,
+2048^2) take it and wide ones (128x2048) sweep. Both walk C1's tiles once,
+with the same geometry.
 """
 
 from dataclasses import dataclass
@@ -150,9 +168,12 @@ def deco_quantize(m: np.ndarray, bits: int, n: int = 2) -> mpo.MpoChain:
     return mpo.MpoChain(tuple(cores))
 
 
-def deco_dequantize(q: mpo.MpoChain) -> np.ndarray:
-    """Recover the full-precision matrix (reference path, materializes)."""
-    return mpo.reconstruct(q)
+def deco_dequantize(q: mpo.MpoChain, out: np.ndarray = None) -> np.ndarray:
+    """Recover the full-precision matrix (reference path, materializes).
+
+    mpo.reconstruct: written into `out` if given, and returned.
+    """
+    return mpo.reconstruct(q, out)
 
 
 def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter, offset: int = 0, out=None):
@@ -162,10 +183,12 @@ def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter, offset: int = 0, ou
     pieces of one row: each tile is one contiguous unpack_range, gathered
     through the core's table of code * scale. M starts `offset` elements
     into the payload, so one core can be walked as several stacked matrices.
-    Given `out` (TILE_ELEMENTS float64 values), every tile is gathered into
-    its front, so a tile is valid only until the next one is drawn.
+    Every tile is gathered into the front of one reused buffer of
+    TILE_ELEMENTS float64 values, `out` if given (the slab's rows), else one
+    made per walk, so a tile is valid only until the next one is drawn.
     """
     table = qt.value_table()
+    out = np.empty(TILE_ELEMENTS, dtype=np.float64) if out is None else out
     height = max(1, TILE_ELEMENTS // cols)
     width = min(cols, TILE_ELEMENTS)
     pieces = [slice(c0, min(cols, c0 + width)) for c0 in range(0, cols, width)]
@@ -174,8 +197,7 @@ def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter, offset: int = 0, ou
         h = rs.stop - r0
         for cs in pieces:
             start, count = offset + r0 * cols + cs.start, h * (cs.stop - cs.start)
-            into = None if out is None else out[:count]
-            tile = unpack_range(qt.payload, start, count, qt.bits, table, into)
+            tile = unpack_range(qt.payload, start, count, qt.bits, table, out[:count])
             if meter is not None:
                 meter.record(count)
             yield rs, cs, tile.reshape(h, -1)
@@ -255,11 +277,50 @@ def fused_matmul(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
     return cur.reshape(p, q.cols).astype(np.float32, order="C")
 
 
-def fused_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
-    """x @ W.T, streaming the packed cores (right-to-left sweep).
+def _fp_first_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
+    """x @ W.T for a chain [C0, C1] with C1 packed, C0 contracted first.
 
-    Needed by attention reads (q_row @ K.T). Same working-set contract as
-    fused_matmul: dequantized transients never exceed one tile.
+    The full-precision-first order of the module docstring: z[k] = (j1, p *
+    i0) is x's contraction with C0 at bond index k, and each of C1's tiles,
+    split where its rows cross from one k to the next, adds tile @ z[k]
+    into the (i1, p * i0) accumulator; a tile of whole slices adds the sum
+    of one batched product.
+    """
+    first, last = q.local_tensors
+    _, i0, j0, d = first.shape
+    _, i1, j1, _ = last.shape
+    p = x.shape[0]
+    xv = np.asarray(x, dtype=np.float64).reshape(p, j0, j1).transpose(2, 0, 1)
+    c0 = np.asarray(first, dtype=np.float64).reshape(i0, j0, d).transpose(1, 2, 0)
+    # (j1 * p, j0) @ (j0, d * i0) -> (j1, p, d, i0) -> z[k, j1, (p, i0)]
+    z = (xv.reshape(j1 * p, j0) @ c0.reshape(j0, d * i0)).reshape(j1, p, d, i0)
+    z = np.ascontiguousarray(z.transpose(2, 0, 1, 3)).reshape(d, j1, p * i0)
+    acc = np.zeros((i1, p * i0), dtype=np.float64)
+    for rs, cs, tile in _tiles(last, d * i1, j1, meter):
+        k, a = divmod(rs.start, i1)
+        nk = (rs.stop - rs.start) // i1
+        if a == 0 and nk > 1 and nk * i1 == rs.stop - rs.start:
+            acc += np.matmul(tile.reshape(nk, i1, -1), z[k : k + nk, cs]).sum(axis=0)
+            continue
+        r = rs.start
+        while r < rs.stop:
+            k, a = divmod(r, i1)
+            end = min(rs.stop, (k + 1) * i1)
+            part = acc[a : a + end - r]
+            part += tile[r - rs.start : end - rs.start] @ z[k, cs]
+            r = end
+    y = acc.reshape(i1, p, i0).transpose(1, 2, 0)
+    return y.reshape(p, q.rows).astype(np.float32, order="C")
+
+
+def fused_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
+    """x @ W.T, streaming the packed cores.
+
+    Needed by attention reads (q_row @ K.T). Takes the contraction order
+    with fewer mult-adds (module docstring): for a two-core chain with C1
+    packed, C0 first when i0 * j1 * (i1 + j0) <= j0 * i1 * (j1 + i0), else
+    the right-to-left sweep. Same working-set contract as fused_matmul:
+    dequantized transients never exceed one tile.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != q.cols:
@@ -267,6 +328,11 @@ def fused_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None
     p = x.shape[0]
     i_f, j_f = q.plan.i_factors, q.plan.j_factors
     n = q.plan.n
+    first, last = q.local_tensors[0], q.local_tensors[-1]
+    if n == 2 and isinstance(first, np.ndarray) and isinstance(last, QuantizedTensor):
+        (i0, i1), (j0, j1) = i_f, j_f  # C0 first vs sweep mult-adds over p * d
+        if i0 * j1 * (i1 + j0) <= j0 * i1 * (j1 + i0):
+            return _fp_first_matmul_t(x, q, meter)
     # state: (j_1..j_k, d_k, I_acc, p); contract cores from the right
     cur = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T).reshape(
         tuple(j_f) + (1, 1, p)

@@ -14,7 +14,9 @@ the ledger alike: a side's stored bytes are the bytes of its segments,
 each fixed once when the segment is sealed, plus 2 * tail_len * dim.
 attention_scores streams quantized segments through the fused multiply,
 so it makes no full-precision copy of a segment; read_keys and
-read_values rebuild each segment in full with deco_dequantize.
+read_values fill one (T, D) float32 output part by part: deco_dequantize
+rebuilds each segment straight into its rows, and the tail is copied after
+them, so a read makes no second copy of the rows.
 
 In full-precision mode (bits=None) each segment is a float32 copy of its
 rows, never a view of the tail buffer or of the caller's prefill arrays,
@@ -27,6 +29,7 @@ their true size, one 2-byte scale per quantized core.
 
 import csv
 from dataclasses import dataclass, replace
+from numbers import Integral
 from statistics import median
 
 import numpy as np
@@ -186,8 +189,10 @@ class KvCache:
         self.bytes_moved_read = 0
 
     def _layer(self, layer: int) -> LayerCache:
-        if not 0 <= layer < self.config.layers:
-            raise LayerOutOfRange(f"layer {layer} outside 0..{self.config.layers - 1}")
+        """The layer's cache; LayerOutOfRange unless an integer in 0..layers-1."""
+        if not isinstance(layer, Integral) or not 0 <= layer < self.config.layers:
+            last = self.config.layers - 1
+            raise LayerOutOfRange(f"layer must be an integer in 0..{last}, got {layer!r}")
         return self.layers[layer]
 
     def prefill(self, layer: int, keys, values):
@@ -198,10 +203,16 @@ class KvCache:
 
     def _read(self, lc: LayerCache, parts: list, segment_bytes: list) -> np.ndarray:
         self.bytes_moved_read += _stored_side(lc, segment_bytes)
-        return np.concatenate(
-            [deco_dequantize(p) if isinstance(p, MpoChain) else p for p in parts],
-            axis=0,
-        )
+        out = np.empty((lc.tokens, self.config.dim), dtype=np.float32)
+        t = 0
+        for p in parts:
+            if isinstance(p, MpoChain):
+                rows = deco_dequantize(p, out[t : t + p.rows])
+            else:
+                rows = out[t : t + len(p)]
+                rows[...] = p
+            t += len(rows)
+        return out
 
     def read_keys(self, layer: int) -> np.ndarray:
         lc = self._layer(layer)

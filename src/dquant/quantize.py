@@ -40,7 +40,7 @@ rounds once, as a float32 multiply of code and scale does.
 import math
 import operator
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -92,8 +92,10 @@ class QuantizedTensor:
         object.__setattr__(self, "shape", shape)
         if not isinstance(self.payload, bytes):
             raise CorruptPayload(f"payload is {type(self.payload).__name__}, not bytes")
-        if not 0 < self.scale < np.inf:
-            raise CorruptPayload(f"scale must be positive and finite, got {self.scale}")
+        if not isinstance(self.scale, Real) or not 0 < self.scale < np.inf:
+            raise CorruptPayload(
+                f"scale must be a positive and finite number, got {self.scale!r}"
+            )
         expected = payload_size(self.count, self.bits)
         if len(self.payload) != expected:
             raise CorruptPayload(
@@ -204,14 +206,15 @@ def unpack_range(
         out[...] = _gather(table, chunk, skip, count)
     else:
         # mode="clip" never clips (a byte always indexes one of the 256
-        # rows) but, unlike "raise", gathers into out without a buffer
-        np.take(table, chunk, axis=0, out=out.reshape(-1, per), mode="clip")
+        # rows) but, unlike "raise", gathers into out without a buffer; the
+        # method skips np.take's dispatch, about 1 us of a 4-6 us tile gather
+        table.take(chunk, axis=0, out=out.reshape(-1, per), mode="clip")
     return out
 
 
 def _gather(table, chunk, skip, count):
     """Elements [skip, skip+count) of the table rows of the bytes in chunk."""
-    return np.take(table, chunk, axis=0).reshape(-1)[skip : skip + count]
+    return table.take(chunk, axis=0).reshape(-1)[skip : skip + count]
 
 
 def _code_table(bits):
