@@ -58,15 +58,22 @@ fused_matmul_t has two contraction orders for x (p rows) @ W.T:
 * Full precision first (n = 2, C1 packed, C0 full precision): x meets C0
   first, z[k, j1, (p, i0)] = sum_j0 x * C0 (d * j1 * p * i0 values, 8K at
   2048x128, p = 1), then C1's tiles, read as its (d * i1, j1) matrix, add
-  into one (i1, p * i0) accumulator; a tile whose rows cross a bond index
-  is split into views of it, and one made of whole (i1, j1) slices (small
-  segments) adds in one batched product. That is p * i0 * d * j1 * (i1 +
-  j0) mult-adds.
+  into one (i1, p * i0) accumulator, one product per bond slice C1[k] in
+  each tile; a tile whose rows cross a bond index is split into views of
+  it. That is p * i0 * d * j1 * (i1 + j0) mult-adds.
 
-Full precision first is taken when it does no more mult-adds: i0 * j1 *
-(i1 + j0) <= j0 * i1 * (j1 + i0), so tall and square chains (2048x128,
-2048^2) take it and wide ones (128x2048) sweep. Both walk C1's tiles once,
-with the same geometry.
+Full precision first is taken when it does no more mult-adds, i0 * j1 *
+(i1 + j0) <= j0 * i1 * (j1 + i0), and a bond slice (i1 * j1 values) fills
+at least a tile. A smaller slice makes several products per tile where the
+sweep makes one, and at these sizes the per-product cost decides: in a
+per-call probe (BLAS at one thread, p = 1) C0 first was 10-30% slower than
+the sweep at 256x64, 512x64, 256x128, 512x128 and 256^2, whose slices are
+1/4 to 1/2 of a tile, and 9-39% faster at 1024x128, 2048x64, 2048x128 and
+4096x128, whose slices are a tile or more; 1024x64 (half-tile slices,
+12% faster C0 first) is the one probed shape the rule leaves to the
+sweep. So tall chains with large slices (2048x128, 2048^2) take it; small
+segments and wide chains (128x2048) sweep. Both walk C1's tiles once, with
+the same geometry.
 """
 
 from dataclasses import dataclass
@@ -168,12 +175,9 @@ def deco_quantize(m: np.ndarray, bits: int, n: int = 2) -> mpo.MpoChain:
     return mpo.MpoChain(tuple(cores))
 
 
-def deco_dequantize(q: mpo.MpoChain, out: np.ndarray = None) -> np.ndarray:
-    """Recover the full-precision matrix (reference path, materializes).
-
-    mpo.reconstruct: written into `out` if given, and returned.
-    """
-    return mpo.reconstruct(q, out)
+def deco_dequantize(q: mpo.MpoChain) -> np.ndarray:
+    """Recover the full-precision matrix (reference path, materializes)."""
+    return mpo.reconstruct(q)
 
 
 def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter, offset: int = 0, out=None):
@@ -283,8 +287,7 @@ def _fp_first_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     The full-precision-first order of the module docstring: z[k] = (j1, p *
     i0) is x's contraction with C0 at bond index k, and each of C1's tiles,
     split where its rows cross from one k to the next, adds tile @ z[k]
-    into the (i1, p * i0) accumulator; a tile of whole slices adds the sum
-    of one batched product.
+    into the (i1, p * i0) accumulator.
     """
     first, last = q.local_tensors
     _, i0, j0, d = first.shape
@@ -297,11 +300,6 @@ def _fp_first_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     z = np.ascontiguousarray(z.transpose(2, 0, 1, 3)).reshape(d, j1, p * i0)
     acc = np.zeros((i1, p * i0), dtype=np.float64)
     for rs, cs, tile in _tiles(last, d * i1, j1, meter):
-        k, a = divmod(rs.start, i1)
-        nk = (rs.stop - rs.start) // i1
-        if a == 0 and nk > 1 and nk * i1 == rs.stop - rs.start:
-            acc += np.matmul(tile.reshape(nk, i1, -1), z[k : k + nk, cs]).sum(axis=0)
-            continue
         r = rs.start
         while r < rs.stop:
             k, a = divmod(r, i1)
@@ -316,11 +314,11 @@ def _fp_first_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
 def fused_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
     """x @ W.T, streaming the packed cores.
 
-    Needed by attention reads (q_row @ K.T). Takes the contraction order
-    with fewer mult-adds (module docstring): for a two-core chain with C1
-    packed, C0 first when i0 * j1 * (i1 + j0) <= j0 * i1 * (j1 + i0), else
-    the right-to-left sweep. Same working-set contract as fused_matmul:
-    dequantized transients never exceed one tile.
+    Needed by attention reads (q_row @ K.T). For a two-core chain with C1
+    packed, C0 first when it does no more mult-adds and a bond slice of C1
+    fills a tile (module docstring), else the right-to-left sweep. Same
+    working-set contract as fused_matmul: dequantized transients never
+    exceed one tile.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != q.cols:
@@ -330,8 +328,8 @@ def fused_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None
     n = q.plan.n
     first, last = q.local_tensors[0], q.local_tensors[-1]
     if n == 2 and isinstance(first, np.ndarray) and isinstance(last, QuantizedTensor):
-        (i0, i1), (j0, j1) = i_f, j_f  # C0 first vs sweep mult-adds over p * d
-        if i0 * j1 * (i1 + j0) <= j0 * i1 * (j1 + i0):
+        (i0, i1), (j0, j1) = i_f, j_f  # mult-adds over p * d, then slice vs tile
+        if i0 * j1 * (i1 + j0) <= j0 * i1 * (j1 + i0) and i1 * j1 >= TILE_ELEMENTS:
             return _fp_first_matmul_t(x, q, meter)
     # state: (j_1..j_k, d_k, I_acc, p); contract cores from the right
     cur = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T).reshape(

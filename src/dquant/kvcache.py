@@ -14,9 +14,7 @@ the ledger alike: a side's stored bytes are the bytes of its segments,
 each fixed once when the segment is sealed, plus 2 * tail_len * dim.
 attention_scores streams quantized segments through the fused multiply,
 so it makes no full-precision copy of a segment; read_keys and
-read_values fill one (T, D) float32 output part by part: deco_dequantize
-rebuilds each segment straight into its rows, and the tail is copied after
-them, so a read makes no second copy of the rows.
+read_values rebuild each segment in full with deco_dequantize.
 
 In full-precision mode (bits=None) each segment is a float32 copy of its
 rows, never a view of the tail buffer or of the caller's prefill arrays,
@@ -203,16 +201,10 @@ class KvCache:
 
     def _read(self, lc: LayerCache, parts: list, segment_bytes: list) -> np.ndarray:
         self.bytes_moved_read += _stored_side(lc, segment_bytes)
-        out = np.empty((lc.tokens, self.config.dim), dtype=np.float32)
-        t = 0
-        for p in parts:
-            if isinstance(p, MpoChain):
-                rows = deco_dequantize(p, out[t : t + p.rows])
-            else:
-                rows = out[t : t + len(p)]
-                rows[...] = p
-            t += len(rows)
-        return out
+        return np.concatenate(
+            [deco_dequantize(p) if isinstance(p, MpoChain) else p for p in parts],
+            axis=0,
+        )
 
     def read_keys(self, layer: int) -> np.ndarray:
         lc = self._layer(layer)

@@ -278,24 +278,12 @@ def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
     return MpoChain(tuple(cores))  # casts the float64 cores to float32
 
 
-def reconstruct(chain: MpoChain, out: np.ndarray = None) -> np.ndarray:
+def reconstruct(chain: MpoChain) -> np.ndarray:
     """Contract the chain back to its matrix (float64 accumulation).
 
     Packed cores are decoded here, to their exact QuantizedTensor.values().
-    The product is cast to float32 once, as it is copied out of core order,
-    into `out` if given (a C-contiguous float32 (rows, cols) array, such as
-    a block of rows of a larger one), which is returned.
+    The product is cast to float32 once, as it is copied out of core order.
     """
-    plan = chain.plan
-    if out is not None and not (
-        isinstance(out, np.ndarray)
-        and out.shape == (plan.rows, plan.cols)
-        and out.dtype == np.float32
-        and out.flags.c_contiguous
-    ):
-        raise ShapeMismatch(
-            f"out must be a C-contiguous float32 ({plan.rows}, {plan.cols}) array"
-        )
     cores = [
         t.values() if isinstance(t, QuantizedTensor) else np.asarray(t, np.float64)
         for t in chain.local_tensors
@@ -303,10 +291,8 @@ def reconstruct(chain: MpoChain, out: np.ndarray = None) -> np.ndarray:
     cur = cores[0].reshape(-1, cores[0].shape[3])
     for t in cores[1:]:
         cur = (cur @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[3])
-    if out is None:
-        # made after the float64 temporaries: made before them, it left them
-        # on top of the heap, and a bare-loop rebuild of 2048x128 ran 2x slower
-        out = np.empty((plan.rows, plan.cols), dtype=np.float32)
+    plan = chain.plan
+    out = np.empty((plan.rows, plan.cols), dtype=np.float32)
     view = _interleave(out, plan.i_factors, plan.j_factors)
     view[...] = cur.reshape(view.shape)
     return out

@@ -1,5 +1,5 @@
-"""Decode reads: the transposed product's two orders, one output per cache read,
-and the typed checks on a layer index and a packed core's scale."""
+"""Decode reads: the transposed product's two orders, the cache reads, and
+the typed checks on a layer index and a packed core's scale."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from dquant import CacheConfig, KvCache, QuantizedTensor, WorkingSetMeter
 from dquant import compress, mpo
 from dquant.compress import TILE_ELEMENTS, deco_dequantize, deco_quantize, fused_matmul_t
-from dquant.errors import CorruptPayload, LayerOutOfRange, ShapeMismatch
+from dquant.errors import CorruptPayload, LayerOutOfRange
 from dquant.quantize import quantize_rtn
 
 
@@ -49,20 +49,33 @@ class TestTransposedProductOrder:
     @pytest.mark.parametrize(
         "shape,n,fp_first",
         [
-            ((2048, 128), 2, True),  # tall: the kv-decode key segment
-            ((256, 256), 2, True),  # square: equal counts, C0 first on the tie
-            ((300, 64), 2, True),  # i1 = 100: tiles of 256 rows cross bond indices
-            ((256, 64), 2, True),  # i1 = 64: each tile is 4 whole bond slices
+            ((2048, 128), 2, True),  # tall: the kv-decode prefill segment
+            ((1024, 128), 2, True),  # a bond slice (256 x 16) is exactly a tile
+            ((256, 128), 2, False),  # the kv-decode chunk: half-tile slices
+            ((1024, 64), 2, False),  # fewer mult-adds C0 first, half-tile slices
+            ((512, 64), 2, False),  # the small kv's prefill segment
+            ((256, 64), 2, False),  # the small kv's chunk: quarter-tile slices
+            ((256, 256), 2, False),  # square, equal mult-adds, half-tile slices
             ((128, 2048), 2, False),  # wide
             ((120, 72), 3, False),  # n = 3 has only the sweep
         ],
     )
     @pytest.mark.parametrize("p", [1, 3])
-    def test_order_follows_the_mult_add_rule(self, monkeypatch, shape, n, fp_first, p):
+    def test_order_follows_mult_adds_and_slice_size(self, monkeypatch, shape, n, fp_first, p):
         q = deco_quantize(rand(shape, 1), 4, n)
         calls = spy_fp_first(monkeypatch)
         check_transposed_product(q, p, 2)
         assert calls == ([shape] if fp_first else [])
+
+    def test_tiles_crossing_a_bond_index_are_split(self, monkeypatch):
+        # C1 read as its (d * i1, j1) = (900, 16) matrix: 256-row tiles, and
+        # the bond index k changes inside the second and the third
+        c0 = rand((1, 2, 2, 3), 3)
+        c1 = quantize_rtn(rand((3, 300, 16, 1), 4), 4)
+        q = mpo.MpoChain((c0, c1))
+        calls = spy_fp_first(monkeypatch)
+        check_transposed_product(q, 3, 5)
+        assert calls == [(600, 32)]
 
     def test_rows_wider_than_a_tile_are_split_into_pieces(self, monkeypatch):
         # C1 read as its (d * i1, j1) = (4, 4100) matrix: each row is two tiles
@@ -72,31 +85,6 @@ class TestTransposedProductOrder:
         calls = spy_fp_first(monkeypatch)
         check_transposed_product(q, 2, 5)
         assert calls == [(2, 8 * 4100)]
-
-
-class TestReconstructInto:
-    def test_writes_the_rows_of_a_larger_array(self):
-        q = deco_quantize(rand((48, 32), 6), 4)
-        block = np.full((60, 32), 7.0, dtype=np.float32)
-        view = block[5:53]
-        assert mpo.reconstruct(q, out=view) is view
-        assert view.tobytes() == mpo.reconstruct(q).tobytes()
-        assert (block[:5] == 7).all() and (block[53:] == 7).all()
-        assert deco_dequantize(q, view) is view
-
-    @pytest.mark.parametrize(
-        "out",
-        [
-            np.empty((48, 32), dtype=np.float64),
-            np.empty((32, 48), dtype=np.float32),
-            np.empty((48, 64), dtype=np.float32)[:, :32],
-            [[0.0] * 32] * 48,
-        ],
-        ids=["float64", "transposed-shape", "strided", "list"],
-    )
-    def test_refuses_an_out_it_cannot_fill_in_place(self, out):
-        with pytest.raises(ShapeMismatch):
-            mpo.reconstruct(deco_quantize(rand((48, 32), 6), 4), out=out)
 
 
 class TestCacheReads:
