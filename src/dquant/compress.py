@@ -29,26 +29,32 @@ elements of each such gather.
 
 A tile is dequantized by one gather: unpack_range looks each payload byte
 up in the core's value_table() (code * scale in float64, built once per
-core), so no code array is made and no per-tile scaling pass runs. The
+walk), so no code array is made and no per-tile scaling pass runs. The
 rebuild decodes through the same table (see the quantize docstring), so
-deco_dequantize holds exactly the values fused_matmul multiplies.
+deco_dequantize holds exactly the values fused_matmul multiplies. A walk
+gathers its tiles into one buffer (a slab walk, one slab) made per walk.
+A sweep's tile product is a fresh array: at these sizes (8 x 256 at 2048^2,
+p = 1) np.matmul into one product buffer made per call was about 7% slower
+per call, its out= handling costing more than the allocation it saves.
 
 fused_matmul has two contraction orders for x (p rows) @ W:
 
 * Sweep (any chain): left to right, x meets each core in turn, the packed
   ones tile by tile. For W = C0 (1, i0, j0, d) C1 (d, i1, j1, 1) the packed
   GEMM takes p * j0 operand rows through C1, p * |W| * d / i0 mult-adds.
-* Slab (n = 2, C1 packed, C0 full precision): C1 is walked as its d stacked
-  (i1, j1) matrices with the tile geometry above; the d tiles at one
-  position form a (d, tile) slab, C0 @ slab is the block of W at those
-  rows and columns, and x times that block is added into the output. That
-  is |W| * (d + p) mult-adds in larger GEMMs.
+* Slab (n = 2, C1 packed, C0 full precision): C1 is read as its d stacked
+  (i1, j1) matrices, which share the tile geometry above. One walk over
+  it gathers, at each position, matrix k's tile straight into row k of a
+  (d, tile) slab, one unpack_range per matrix; C0 @ slab is the block of W
+  at those rows and columns, and x times that block is added into the
+  output. That is |W| * (d + p) mult-adds in larger GEMMs.
 
 The sweep is taken unless the slab does fewer mult-adds, p * d > i0 * (d +
 p): at i0 = 8, d = 64 (2048^2 and 4096^2) from p = 10 on, so p = 1 always
-sweeps. Besides the tile gathers, a slab step holds the slab and its block
-of W, d * TILE_ELEMENTS values each at full rank (d = i0 * j0): 1/16 of W at
-2048^2, 1/64 at 4096^2, all of W only when W is that small (512^2).
+sweeps. A slab step holds the slab, made once per call, and its block of W
+and that block's product with x, both made at each step: d * TILE_ELEMENTS
+values each for the slab and the block at full rank (d = i0 * j0), 1/16 of
+W at 2048^2, 1/64 at 4096^2, all of W only when W is that small (512^2).
 
 fused_matmul_t has two contraction orders for x (p rows) @ W.T:
 
@@ -180,39 +186,67 @@ def deco_dequantize(q: mpo.MpoChain) -> np.ndarray:
     return mpo.reconstruct(q)
 
 
-def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter, offset: int = 0, out=None):
-    """Yield (row slice, column slice, float64 tile) over a packed (rows, cols) M.
+def _grid(rows: int, cols: int):
+    """Each tile of a (rows, cols) matrix as (row slice, column slice, start, h, w).
 
     Whole rows while a row fits in TILE_ELEMENTS, else TILE_ELEMENTS-wide
-    pieces of one row: each tile is one contiguous unpack_range, gathered
-    through the core's table of code * scale. M starts `offset` elements
-    into the payload, so one core can be walked as several stacked matrices.
-    Every tile is gathered into the front of one reused buffer of
-    TILE_ELEMENTS float64 values, `out` if given (the slab's rows), else one
-    made per walk, so a tile is valid only until the next one is drawn.
+    pieces of one row, in payload order: the tile is the contiguous range of
+    h * w values at `start` in the row-major matrix. A list, made once per
+    walk.
+    """
+    height, width = max(1, TILE_ELEMENTS // cols), min(cols, TILE_ELEMENTS)
+    pieces = [slice(c0, min(cols, c0 + width)) for c0 in range(0, cols, width)]
+    row_blocks = [slice(r0, min(rows, r0 + height)) for r0 in range(0, rows, height)]
+    return [
+        (rs, cs, rs.start * cols + cs.start, rs.stop - rs.start, cs.stop - cs.start)
+        for rs in row_blocks
+        for cs in pieces
+    ]
+
+
+def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter):
+    """Yield (row slice, column slice, float64 tile) over a packed (rows, cols) M.
+
+    Each tile of _grid is one unpack_range through the core's table of code
+    * scale, gathered into the front of one buffer of TILE_ELEMENTS float64
+    values made per walk, so a tile is valid only until the next is drawn.
     """
     table = qt.value_table()
-    out = np.empty(TILE_ELEMENTS, dtype=np.float64) if out is None else out
-    height = max(1, TILE_ELEMENTS // cols)
-    width = min(cols, TILE_ELEMENTS)
-    pieces = [slice(c0, min(cols, c0 + width)) for c0 in range(0, cols, width)]
-    for r0 in range(0, rows, height):
-        rs = slice(r0, min(rows, r0 + height))
-        h = rs.stop - r0
-        for cs in pieces:
-            start, count = offset + r0 * cols + cs.start, h * (cs.stop - cs.start)
-            tile = unpack_range(qt.payload, start, count, qt.bits, table, out[:count])
+    buf = np.empty(TILE_ELEMENTS, dtype=np.float64)
+    for rs, cs, start, h, w in _grid(rows, cols):
+        tile = unpack_range(qt.payload, start, h * w, qt.bits, table, buf[: h * w])
+        if meter is not None:
+            meter.record(h * w)
+        yield rs, cs, tile.reshape(h, w)
+
+
+def _slabs(qt: QuantizedTensor, rows: int, cols: int, meter):
+    """Yield (row slice, column slice, (d, h * w) slab) over d stacked (rows, cols) M.
+
+    The packed core is read as d = count / (rows * cols) row-major matrices,
+    one after another, that share one _grid. At each of its tiles, row k of
+    one slab, made per walk, gets matrix k's tile by one unpack_range
+    through the core's table, so a slab is valid only until the next is
+    drawn.
+    """
+    table = qt.value_table()
+    size = rows * cols
+    slab = np.empty((qt.count // size, TILE_ELEMENTS), dtype=np.float64)
+    for rs, cs, start, h, w in _grid(rows, cols):
+        count = h * w
+        for k, row in enumerate(slab):
+            unpack_range(qt.payload, k * size + start, count, qt.bits, table, row[:count])
             if meter is not None:
                 meter.record(count)
-            yield rs, cs, tile.reshape(h, -1)
+        yield rs, cs, slab[:, :count]
 
 
 def _slab_matmul(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     """x @ W for a chain [C0, C1] with C1 packed, one slab of W at a time.
 
-    The slab order of the module docstring: d _tiles walks, one over each
-    of C1's stacked (i1, j1) matrices, advance together, each gathering
-    into its own row of one reused slab.
+    The slab order of the module docstring: _slabs walks C1 as its d
+    stacked (i1, j1) matrices, and at each position C0 @ slab is a fresh
+    block of W, whose product with x's matching columns adds into y.
     """
     first, last = q.local_tensors
     _, i0, j0, d = first.shape
@@ -222,16 +256,14 @@ def _slab_matmul(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     # rows in (j0, i0) order, so C0 @ slab is j0 stacked (i0 * h, w) blocks
     c0 = np.asarray(first, dtype=np.float64).reshape(i0, j0, d)
     c0 = np.ascontiguousarray(c0.transpose(1, 0, 2)).reshape(j0 * i0, d)
-    y = np.zeros((p, j0, j1), dtype=np.float64)
-    slab = np.empty((d, TILE_ELEMENTS), dtype=np.float64)
-    rows = [_tiles(last, i1, j1, meter, k * i1 * j1, slab[k]) for k in range(d)]
-    for at in zip(*rows):
-        rs, cs, _ = at[0]
+    # y in the (j0, p, j1) order of the products, so each adds in place
+    y = np.zeros((j0, p, j1), dtype=np.float64)
+    for rs, cs, slab in _slabs(last, i1, j1, meter):
         h, w = rs.stop - rs.start, cs.stop - cs.start
-        w_slab = (c0 @ slab[:, : h * w]).reshape(j0, i0 * h, w)
+        w_slab = (c0 @ slab).reshape(j0, i0 * h, w)
         acc = y[:, :, cs]  # y[:, :, cs] += would copy the slice back
-        acc += np.matmul(xv[:, :, rs].reshape(p, i0 * h), w_slab).transpose(1, 0, 2)
-    return y.reshape(p, q.cols).astype(np.float32, order="C")
+        acc += np.matmul(xv[:, :, rs].reshape(p, i0 * h), w_slab)
+    return y.transpose(1, 0, 2).astype(np.float32, order="C").reshape(p, q.cols)
 
 
 def fused_matmul(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):

@@ -186,10 +186,10 @@ def unpack_range(
     `table`, a (256, 8 // bits) array in CODE_TABLES lane order; the
     default, CODE_TABLES[bits], gives int8 codes. The fused multiply
     passes a core's value_table(), so each of its tiles is dequantized by
-    this one gather. Given `out` (count contiguous elements of the table's
-    dtype), the elements are written there and out is returned: a range
-    that starts and ends on byte boundaries is gathered straight into it,
-    any other range is gathered fresh and copied.
+    this one gather. Given `out`, a 1-D array of count elements of the
+    table's dtype (else ShapeMismatch), the elements are written there and
+    out is returned: a range that starts and ends on byte boundaries is
+    gathered straight into it, any other range is gathered fresh and copied.
     """
     bits = _check_bits(bits)
     per = 8 // bits
@@ -197,8 +197,13 @@ def unpack_range(
     byte1 = (start + count + per - 1) // per
     if byte1 > len(payload) or start < 0 or count < 0:
         raise CorruptPayload("requested element range exceeds payload")
-    chunk = np.frombuffer(payload, dtype=np.uint8, count=byte1 - byte0, offset=byte0)
     table = CODE_TABLES[bits] if table is None else table
+    if out is not None and (out.shape != (count,) or out.dtype != table.dtype):
+        want = f"({count},) {table.dtype}"
+        raise ShapeMismatch(f"out must be {want}, got {out.shape} {out.dtype}")
+    # positional arguments: numpy parses keywords to frombuffer and take
+    # slowly, about 0.7 us of a 4-6 us tile gather
+    chunk = np.frombuffer(payload, np.uint8, byte1 - byte0, byte0)
     skip = start - byte0 * per
     if out is None:
         return _gather(table, chunk, skip, count)
@@ -208,13 +213,13 @@ def unpack_range(
         # mode="clip" never clips (a byte always indexes one of the 256
         # rows) but, unlike "raise", gathers into out without a buffer; the
         # method skips np.take's dispatch, about 1 us of a 4-6 us tile gather
-        table.take(chunk, axis=0, out=out.reshape(-1, per), mode="clip")
+        table.take(chunk, 0, out.reshape(-1, per), "clip")
     return out
 
 
 def _gather(table, chunk, skip, count):
     """Elements [skip, skip+count) of the table rows of the bytes in chunk."""
-    return table.take(chunk, axis=0).reshape(-1)[skip : skip + count]
+    return table.take(chunk, 0).reshape(-1)[skip : skip + count]
 
 
 def _code_table(bits):

@@ -83,3 +83,44 @@ def test_digests_script_prints_one_line_per_case():
                  "kv-sim.b4.audit", "kv-sim.b16", "bench.strategies",
                  "kvcache.b4.read_values", "kvcache.b16.ledger"):
         assert case in cases
+
+
+def test_pairs_summary_applies_the_claim_rule():
+    path = ROOT / "bench" / "pairs.py"
+    spec = importlib.util.spec_from_file_location("pairs", path)
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    assert pairs.parse_seeds("211-213,220") == [211, 212, 213, 220]
+
+    parent_ms = [60.0, 61.0, 62.0, 63.0, 64.0] * 2
+    change_ms = [p - 5 for p in parent_ms[:9]] + [65.0]  # one pair lost
+    steady = [10.0, 20.0] * 5  # quartiles 10 and 20
+    runs = []
+    for i in range(10):
+        parent = {"gemm64_ms.p75": parent_ms[i], "decode_tok_s": 100.0,
+                  "gemv_ms.p75": steady[i], "setup_s": 0.3}
+        change = {"gemm64_ms.p75": change_ms[i], "decode_tok_s": 100.0 + (i % 2),
+                  "gemv_ms.p75": steady[i] - 1}
+        runs.append((parent, change))
+    metrics = [{"name": "setup_s", "better": "lower"},  # not in every run: skipped
+               {"name": "gemm64_ms.p75", "better": "lower"},
+               {"name": "decode_tok_s", "better": "higher"},
+               {"name": "gemv_ms.p75", "better": "lower"}]
+    rows = {r["metric"]: r for r in pairs.summarize(runs, metrics)}
+    assert list(rows) == ["gemm64_ms.p75", "decode_tok_s", "gemv_ms.p75"]
+
+    gemm = rows["gemm64_ms.p75"]
+    assert gemm["parent"] == (62.0, 61.0, 63.0)
+    assert gemm["change"] == (57.0, 56.0, 58.0)
+    assert (gemm["wins"], gemm["pairs"], gemm["claim"]) == (9, 10, True)
+    tok = rows["decode_tok_s"]  # ties count for neither side
+    assert tok["change"][0] == 100.5
+    assert (tok["wins"], tok["claim"]) == (5, False)
+    gemv = rows["gemv_ms.p75"]  # every pair won, but inside the parent's spread
+    assert gemv["parent"] == (15.0, 10.0, 20.0)
+    assert (gemv["wins"], gemv["claim"]) == (10, False)
+
+    lines = pairs.format_rows(pairs.summarize(runs, metrics))
+    assert len(lines) == 4
+    assert lines[1].startswith("gemm64_ms.p75") and lines[1].endswith("9/10  yes")
+    assert lines[3].endswith("10/10  no")

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,6 +281,38 @@ class TestFusedMatmul:
                 assert tile.tobytes() == want.tobytes()
                 seen[rs, cs] += 1
             assert (seen == 1).all()
+
+    @pytest.mark.parametrize(
+        "shape,bits,mid_byte",
+        [((8, 32792), 4, True), ((56, 301), 4, True), ((256, 301), 2, False)],
+    )
+    def test_slabs_hold_each_stacked_matrix_tile(self, shape, bits, mid_byte):
+        # 8 x 32792: C1 is 64 stacked 1 x 4099 matrices, each row split into
+        # pieces, the odd matrices starting mid-byte; 56 x 301: 4 stacked
+        # 14 x 301 matrices in tiles of 13 rows (3913 values); 256 x 301: 28
+        # stacked 64 x 43 matrices, one tile each, all on byte boundaries
+        q = deco_quantize(rand(shape, 14), bits)
+        last = q.local_tensors[1]
+        d, i1, j1, _ = last.shape
+        want = last.codes().reshape(d, i1, j1).astype(np.float64)
+        want *= np.float64(last.scale)
+        counts = []
+        meter = SimpleNamespace(record=counts.append)
+        seen = np.zeros((d, i1, j1), dtype=int)
+        starts = []
+        for rs, cs, slab in compress._slabs(last, i1, j1, meter):
+            h, w = rs.stop - rs.start, cs.stop - cs.start
+            assert slab.shape == (d, h * w) and w <= TILE_ELEMENTS
+            for k in range(d):
+                assert slab[k].tobytes() == want[k, rs, cs].tobytes()
+                starts.append(k * i1 * j1 + rs.start * j1 + cs.start)
+            seen[:, rs, cs] += 1
+        assert (seen == 1).all()  # every packed element gathered once
+        assert len(counts) == len(starts) and sum(counts) == last.count
+        assert max(counts) <= TILE_ELEMENTS
+        assert any(s % (8 // bits) for s in starts) == mid_byte
+        if shape == (8, 32792):
+            assert j1 > TILE_ELEMENTS
 
     def test_shape_mismatch(self):
         q = deco_quantize(rand((16, 16)), 4)

@@ -11,6 +11,7 @@ from dquant.errors import (
     CorruptPayload,
     NonFiniteInput,
     RangeOverflow,
+    ShapeMismatch,
     UnsupportedBits,
 )
 from dquant.compress import deco_quantize, factorize
@@ -396,6 +397,24 @@ class TestCodeTables:
             assert got is out
             want = unpack_range(payload, start, count, bits, table)
             assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_out_must_be_count_values_of_the_table_dtype(self, bits):
+        payload = pack([(k % 3) - 1 for k in range(40)], bits)
+        scaled = CODE_TABLES[bits] * np.float64(0.375)
+        for table, out in [
+            (None, np.zeros(5, np.int8)),  # too few for 10 elements
+            (None, np.zeros(10)),  # float64 for the int8 code table
+            (scaled, np.zeros(11)),
+            (scaled, np.zeros(10, np.float32)),
+            (scaled, np.zeros((2, 5))),
+            (scaled, np.zeros((2, 8))[:, :5]),  # an aligned gather would fill a copy
+        ]:
+            with pytest.raises(ShapeMismatch):
+                unpack_range(payload, 4, 10, bits, table, out)
+            assert not out.any()  # refused before the gather
+        out = np.zeros(10, np.int8)
+        assert unpack_range(payload, 4, 10, bits, None, out) is out
 
     @pytest.mark.parametrize("bits", SUPPORTED_BITS)
     def test_codes_are_a_fresh_writable_array(self, bits):
