@@ -5,17 +5,18 @@ Run from the root of a checkout, once per checkout, and diff the outputs:
     PYTHONPATH=src python bench/digests.py > after.txt
     PYTHONPATH=<other checkout>/src python bench/digests.py > before.txt
 
-Cases, at fixed seeds:
+Cases, at fixed seeds, 157 lines:
 
-* the DQZ1 file of deco_quantize at 512^2, 2048x128, 256x128, 120x72 (n = 3)
-  and 7x301, at 2, 4 and 8 bits;
+* the DQZ1 file of deco_quantize at 512^2, 2048x128, 2400x128, 256x128,
+  120x72 (n = 3) and 7x301, at 2, 4 and 8 bits (18 lines);
 * for each of those chains, fused_matmul and fused_matmul_t at p = 1, 3 and
-  64, and the rebuild (mpo.reconstruct);
-* the kv-sim trace CSVs of a b4 --audit run and a --bits 16 run;
+  64, and the rebuild (mpo.reconstruct) (126 lines);
+* the kv-sim trace CSVs of a b4 --audit run, a b4 --audit run with
+  --prompt-len 0 and a --bits 16 run (3 lines);
 * the analyze-outliers CSV of a 512^2 matrix, and the dquant bench CSV of
-  each experiment at --seeds 1;
+  each experiment at --seeds 1 (4 lines);
 * every attention_scores and read_values output of a b4 and a full-precision
-  KvCache run, and the ledger at its end.
+  KvCache run, and the ledger at its end (6 lines).
 
 The name does not match test_*.py, so tier-1 collection skips it.
 """
@@ -32,7 +33,10 @@ import numpy as np
 
 from dquant import cli, compress, formats, kvcache, mpo
 
-SHAPES = ((512, 512, 2), (2048, 128, 2), (256, 128, 2), (120, 72, 3), (7, 301, 2))
+SHAPES = (
+    (512, 512, 2), (2048, 128, 2), (2400, 128, 2), (256, 128, 2), (120, 72, 3),
+    (7, 301, 2),
+)
 BITS = (2, 4, 8)
 PRODUCT_ROWS = (1, 3, 64)
 
@@ -78,11 +82,13 @@ def run_cli(*argv):
 
 def cli_cases(tmp):
     csv = str(tmp / "out.csv")
-    kv_sim = ("kv-sim", "--layers", "2", "--dim", "32", "--prompt-len", "40",
-              "--gen-len", "50", "--chunk", "16", "--seed", "3", "--csv", csv)
-    run_cli(*kv_sim, "--bits", "4", "--audit")
+    kv_sim = ("kv-sim", "--layers", "2", "--dim", "32", "--gen-len", "50",
+              "--chunk", "16", "--seed", "3", "--csv", csv)
+    run_cli(*kv_sim, "--prompt-len", "40", "--bits", "4", "--audit")
     yield "kv-sim.b4.audit", file_digest(csv)
-    run_cli(*kv_sim, "--bits", "16")
+    run_cli(*kv_sim, "--prompt-len", "0", "--bits", "4", "--audit")
+    yield "kv-sim.b4.audit.prompt0", file_digest(csv)
+    run_cli(*kv_sim, "--prompt-len", "40", "--bits", "16")
     yield "kv-sim.b16", file_digest(csv)
     dqt = tmp / "m.dqt"
     formats.write_tensor(dqt, benchlib.weight_matrix(512, 512))

@@ -20,11 +20,13 @@ whose packed cores are QuantizedTensors and whose bits is their width
 
 Reads either rebuild the matrix (deco_dequantize) or stream through the
 packed payloads tile-by-tile (fused_matmul / fused_matmul_t) without ever
-materializing a dequantized core. A packed core is read as a (rows, cols)
-matrix; a tile is as many whole rows as fit in TILE_ELEMENTS (64*64) values,
-or, when one row is wider than that, a TILE_ELEMENTS-wide piece of one row.
-Either way a tile is one contiguous range of the payload, gathered by one
-unpack_range of at most TILE_ELEMENTS values; WorkingSetMeter counts the
+materializing a dequantized core. A packed core is read as count / (rows *
+cols) stacked (rows, cols) matrices, one after another in the payload (one
+matrix for a sweep); a tile is as many whole rows of one matrix as fit in
+TILE_ELEMENTS (64*64) values, or, when one row is wider than that, a
+TILE_ELEMENTS-wide piece of one row. No tile crosses from one matrix to the
+next. Either way a tile is one contiguous range of the payload, gathered by
+one unpack_range of at most TILE_ELEMENTS values; WorkingSetMeter counts the
 elements of each such gather.
 
 A tile is dequantized by one gather: unpack_range looks each payload byte
@@ -63,10 +65,9 @@ fused_matmul_t has two contraction orders for x (p rows) @ W.T:
   a (d * i1, j0 * p) intermediate (1 MB at 2048x128, p = 1).
 * Full precision first (n = 2, C1 packed, C0 full precision): x meets C0
   first, z[k, j1, (p, i0)] = sum_j0 x * C0 (d * j1 * p * i0 values, 8K at
-  2048x128, p = 1), then C1's tiles, read as its (d * i1, j1) matrix, add
-  into one (i1, p * i0) accumulator, one product per bond slice C1[k] in
-  each tile; a tile whose rows cross a bond index is split into views of
-  it. That is p * i0 * d * j1 * (i1 + j0) mult-adds.
+  2048x128, p = 1), then C1's tiles, read as its d stacked (i1, j1) bond
+  slices, add into one (i1, p * i0) accumulator, tile @ z[k] for a tile of
+  slice C1[k]. That is p * i0 * d * j1 * (i1 + j0) mult-adds.
 
 Full precision first is taken when it does no more mult-adds, i0 * j1 *
 (i1 + j0) <= j0 * i1 * (j1 + i0), and a bond slice (i1 * j1 values) fills
@@ -78,8 +79,8 @@ the sweep at 256x64, 512x64, 256x128, 512x128 and 256^2, whose slices are
 4096x128, whose slices are a tile or more; 1024x64 (half-tile slices,
 12% faster C0 first) is the one probed shape the rule leaves to the
 sweep. So tall chains with large slices (2048x128, 2048^2) take it; small
-segments and wide chains (128x2048) sweep. Both walk C1's tiles once, with
-the same geometry.
+segments and wide chains (128x2048) sweep. Both gather each of C1's values
+once.
 """
 
 from dataclasses import dataclass
@@ -125,23 +126,19 @@ class CompressionReport:
     bytes_compressed: int
 
 
-def _fp_core_size(plan: mpo.ShapePlan) -> int:
-    return plan.i_factors[0] * plan.j_factors[0] * plan.bond_dims()[0]
-
-
 def _plan(rows: int, cols: int, n: int) -> mpo.ShapePlan:
     """plan_shapes with the first factors lowered until the first core is small."""
     plan = mpo.plan_shapes(rows, cols, n)
     i_f, j_f = list(plan.i_factors), list(plan.j_factors)
     i0, j0 = i_f[0], j_f[0]
     limit = max(1, rows * cols / FP_CORE_SHARE)
-    while _fp_core_size(plan) > limit and (i_f[0] > 1 or j_f[0] > 1):
+    # the first core holds ij * min(ij, rows * cols / ij) values: 1 at ij = 1
+    while (ij := i_f[0] * j_f[0]) * min(ij, rows * cols // ij) > limit:
         f, planned = (i_f, i0) if i_f[0] >= j_f[0] else (j_f, j0)
         lower = next(d for d in range(f[0] - 1, 0, -1) if planned % d == 0)
         f[-1] = f[-1] * f[0] // lower
         f[0] = lower
-        plan = mpo.ShapePlan(tuple(i_f), tuple(j_f))
-    return plan
+    return mpo.ShapePlan(tuple(i_f), tuple(j_f))
 
 
 def _regauge(cores):
@@ -186,17 +183,22 @@ def deco_dequantize(q: mpo.MpoChain) -> np.ndarray:
     return mpo.reconstruct(q)
 
 
-def _grid(rows: int, cols: int):
-    """Each tile of a (rows, cols) matrix as (row slice, column slice, start, h, w).
+def _grid(rows: int, cols: int, stack: int):
+    """Each tile of `stack` stacked (rows, cols) matrices, as (rs, cs, start, h, w).
 
-    Whole rows while a row fits in TILE_ELEMENTS, else TILE_ELEMENTS-wide
-    pieces of one row, in payload order: the tile is the contiguous range of
-    h * w values at `start` in the row-major matrix. A list, made once per
-    walk.
+    Whole rows of one matrix while a row fits in TILE_ELEMENTS, else
+    TILE_ELEMENTS-wide pieces of one row, in payload order: rs indexes the
+    stacked rows, no tile crosses from one matrix to the next, and the tile
+    is the contiguous range of h * w values at `start`. A list, made once
+    per walk.
     """
     height, width = max(1, TILE_ELEMENTS // cols), min(cols, TILE_ELEMENTS)
     pieces = [slice(c0, min(cols, c0 + width)) for c0 in range(0, cols, width)]
-    row_blocks = [slice(r0, min(rows, r0 + height)) for r0 in range(0, rows, height)]
+    row_blocks = [
+        slice(r0, min(top + rows, r0 + height))
+        for top in range(0, stack * rows, rows)
+        for r0 in range(top, top + rows, height)
+    ]
     return [
         (rs, cs, rs.start * cols + cs.start, rs.stop - rs.start, cs.stop - cs.start)
         for rs in row_blocks
@@ -205,15 +207,17 @@ def _grid(rows: int, cols: int):
 
 
 def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter):
-    """Yield (row slice, column slice, float64 tile) over a packed (rows, cols) M.
+    """Yield (row slice, column slice, float64 tile) over a packed core's tiles.
 
-    Each tile of _grid is one unpack_range through the core's table of code
-    * scale, gathered into the front of one buffer of TILE_ELEMENTS float64
-    values made per walk, so a tile is valid only until the next is drawn.
+    The core is read as count / (rows * cols) stacked (rows, cols) matrices
+    (one for a sweep). Each tile of _grid is one unpack_range through the
+    core's table of code * scale, gathered into the front of one buffer of
+    TILE_ELEMENTS float64 values made per walk, so a tile is valid only
+    until the next is drawn.
     """
     table = qt.value_table()
     buf = np.empty(TILE_ELEMENTS, dtype=np.float64)
-    for rs, cs, start, h, w in _grid(rows, cols):
+    for rs, cs, start, h, w in _grid(rows, cols, qt.count // (rows * cols)):
         tile = unpack_range(qt.payload, start, h * w, qt.bits, table, buf[: h * w])
         if meter is not None:
             meter.record(h * w)
@@ -224,15 +228,15 @@ def _slabs(qt: QuantizedTensor, rows: int, cols: int, meter):
     """Yield (row slice, column slice, (d, h * w) slab) over d stacked (rows, cols) M.
 
     The packed core is read as d = count / (rows * cols) row-major matrices,
-    one after another, that share one _grid. At each of its tiles, row k of
-    one slab, made per walk, gets matrix k's tile by one unpack_range
-    through the core's table, so a slab is valid only until the next is
-    drawn.
+    one after another, that share the _grid of one matrix. At each of its
+    tiles, row k of one slab, made per walk, gets matrix k's tile by one
+    unpack_range through the core's table, so a slab is valid only until
+    the next is drawn.
     """
     table = qt.value_table()
     size = rows * cols
     slab = np.empty((qt.count // size, TILE_ELEMENTS), dtype=np.float64)
-    for rs, cs, start, h, w in _grid(rows, cols):
+    for rs, cs, start, h, w in _grid(rows, cols, 1):
         count = h * w
         for k, row in enumerate(slab):
             unpack_range(qt.payload, k * size + start, count, qt.bits, table, row[:count])
@@ -317,9 +321,9 @@ def _fp_first_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     """x @ W.T for a chain [C0, C1] with C1 packed, C0 contracted first.
 
     The full-precision-first order of the module docstring: z[k] = (j1, p *
-    i0) is x's contraction with C0 at bond index k, and each of C1's tiles,
-    split where its rows cross from one k to the next, adds tile @ z[k]
-    into the (i1, p * i0) accumulator.
+    i0) is x's contraction with C0 at bond index k. C1 is walked as its d
+    stacked (i1, j1) bond slices, so each tile lies in one slice C1[k] and
+    adds tile @ z[k] into its rows of the (i1, p * i0) accumulator.
     """
     first, last = q.local_tensors
     _, i0, j0, d = first.shape
@@ -331,14 +335,10 @@ def _fp_first_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     z = (xv.reshape(j1 * p, j0) @ c0.reshape(j0, d * i0)).reshape(j1, p, d, i0)
     z = np.ascontiguousarray(z.transpose(2, 0, 1, 3)).reshape(d, j1, p * i0)
     acc = np.zeros((i1, p * i0), dtype=np.float64)
-    for rs, cs, tile in _tiles(last, d * i1, j1, meter):
-        r = rs.start
-        while r < rs.stop:
-            k, a = divmod(r, i1)
-            end = min(rs.stop, (k + 1) * i1)
-            part = acc[a : a + end - r]
-            part += tile[r - rs.start : end - rs.start] @ z[k, cs]
-            r = end
+    for rs, cs, tile in _tiles(last, i1, j1, meter):
+        k, a = divmod(rs.start, i1)
+        part = acc[a : a + len(tile)]
+        part += tile @ z[k, cs]
     y = acc.reshape(i1, p, i0).transpose(1, 2, 0)
     return y.reshape(p, q.rows).astype(np.float32, order="C")
 

@@ -288,12 +288,11 @@ def simulate_generation(
     cache = caches[0]
 
     for layer in range(config.layers):
-        if prompt_len:
-            h = rng.standard_normal((prompt_len, d))
-            keys = (h @ w_k[layer]).astype(np.float32)
-            values = (h @ w_v[layer]).astype(np.float32)
-            for c in caches:
-                c.prefill(layer, keys, values)
+        h = rng.standard_normal((prompt_len, d))
+        keys = (h @ w_k[layer]).astype(np.float32)
+        values = (h @ w_v[layer]).astype(np.float32)
+        for c in caches:
+            c.prefill(layer, keys, values)
     _check_invariants(cache, prompt_len)
 
     def snapshot(step, tokens, deviation):

@@ -263,18 +263,16 @@ def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
     carry = _interleave(m, plan.i_factors, plan.j_factors).astype(np.float64, order="C")
     cores = []
     d_prev = 1
-    for k in range(n):
+    for k in range(n - 1):
         ik, jk = plan.i_factors[k], plan.j_factors[k]
         mat = carry.reshape(d_prev * ik * jk, -1)
-        if k == n - 1:
-            cores.append(mat.reshape(d_prev, ik, jk, 1))
-            break
         # the last split's proj / sqrt(s) is a core (the last one, or the
         # one at k when the unfolding is tall): write it as float32
         left, carry = _split(mat, np.float32 if k == n - 2 else np.float64)
         d_next = left.shape[1]
         cores.append(left.reshape(d_prev, ik, jk, d_next))
         d_prev = d_next
+    cores.append(carry.reshape(d_prev, plan.i_factors[-1], plan.j_factors[-1], 1))
     return MpoChain(tuple(cores))  # casts the float64 cores to float32
 
 

@@ -105,7 +105,7 @@ class QuantizedTensor:
 
     @property
     def count(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
+        return math.prod(self.shape)
 
     def codes(self) -> np.ndarray:
         """Unpacked signed codes in row-major order."""
@@ -147,13 +147,11 @@ def _pack_into(codes, bits, out):
 
     out holds payload_size(codes.size, bits) bytes; a last partial byte gets
     zero lanes. The top lane's high bits shift out of the byte, so it is the
-    one lane left unmasked.
+    one lane ORed in unmasked; at 8 bits the one lane is masked with 0xFF, a
+    copy.
     """
     u = codes.view(np.uint8)
     per = 8 // bits
-    if per == 1:
-        out[...] = u
-        return
     if u.size % per:
         u = np.concatenate([u, np.zeros(per - u.size % per, dtype=np.uint8)])
     lanes = u.reshape(-1, per)
@@ -186,8 +184,8 @@ def unpack_range(
     `table`, a (256, 8 // bits) array in CODE_TABLES lane order; the
     default, CODE_TABLES[bits], gives int8 codes. The fused multiply
     passes a core's value_table(), so each of its tiles is dequantized by
-    this one gather. Given `out`, a 1-D array of count elements of the
-    table's dtype (else ShapeMismatch), the elements are written there and
+    this one gather. The elements go to `out`, a 1-D array of count elements
+    of the table's dtype (else ShapeMismatch), made here if not given, and
     out is returned: a range that starts and ends on byte boundaries is
     gathered straight into it, any other range is gathered fresh and copied.
     """
@@ -198,15 +196,15 @@ def unpack_range(
     if byte1 > len(payload) or start < 0 or count < 0:
         raise CorruptPayload("requested element range exceeds payload")
     table = CODE_TABLES[bits] if table is None else table
-    if out is not None and (out.shape != (count,) or out.dtype != table.dtype):
+    if out is None:
+        out = np.empty(count, table.dtype)
+    elif out.shape != (count,) or out.dtype != table.dtype:
         want = f"({count},) {table.dtype}"
         raise ShapeMismatch(f"out must be {want}, got {out.shape} {out.dtype}")
     # positional arguments: numpy parses keywords to frombuffer and take
     # slowly, about 0.7 us of a 4-6 us tile gather
     chunk = np.frombuffer(payload, np.uint8, byte1 - byte0, byte0)
     skip = start - byte0 * per
-    if out is None:
-        return _gather(table, chunk, skip, count)
     if skip or count % per:
         out[...] = _gather(table, chunk, skip, count)
     else:

@@ -77,10 +77,11 @@ def test_digests_script_prints_one_line_per_case():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     cases = [line.split(" ")[0] for line in lines]
-    assert len(set(cases)) == len(cases) == 132
+    assert len(set(cases)) == len(cases) == 157
     assert all(len(line.split(" ")[1]) == 64 for line in lines)
     for case in ("dqz1.120x72.n3.b2", "fused_matmul_t.7x301.n2.b8.p64",
-                 "kv-sim.b4.audit", "kv-sim.b16", "bench.strategies",
+                 "fused_matmul_t.2400x128.n2.b4.p3", "kv-sim.b4.audit",
+                 "kv-sim.b4.audit.prompt0", "kv-sim.b16", "bench.strategies",
                  "kvcache.b4.read_values", "kvcache.b16.ledger"):
         assert case in cases
 

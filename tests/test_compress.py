@@ -314,6 +314,42 @@ class TestFusedMatmul:
         if shape == (8, 32792):
             assert j1 > TILE_ELEMENTS
 
+    @pytest.mark.parametrize(
+        "shape,slices", [((2400, 128), (64, 300, 16)), ((8, 32792), (64, 1, 4099))]
+    )
+    def test_tiles_walk_the_stacked_bond_slices(self, shape, slices):
+        # 2400 x 128: C1 is 64 stacked 300 x 16 slices, in tiles of up to 256
+        # rows, so a slice is not a whole number of tiles; 8 x 32792: 64
+        # stacked 1 x 4099 slices, each row split into pieces
+        q = deco_quantize(rand(shape, 14), 4)
+        last = q.local_tensors[1]
+        d, i1, j1, _ = last.shape
+        assert (d, i1, j1) == slices
+        want = last.codes().reshape(d * i1, j1).astype(np.float64)
+        want *= np.float64(last.scale)
+        counts = []
+        seen = np.zeros((d * i1, j1), dtype=int)
+        for rs, cs, tile in _tiles(last, i1, j1, SimpleNamespace(record=counts.append)):
+            assert rs.start // i1 == (rs.stop - 1) // i1  # inside one slice
+            assert tile.shape == want[rs, cs].shape
+            assert tile.tobytes() == want[rs, cs].tobytes()
+            seen[rs, cs] += 1
+        assert (seen == 1).all()  # every packed element gathered once
+        assert max(counts) <= TILE_ELEMENTS and sum(counts) == last.count
+
+    def test_full_precision_first_over_partial_tiles(self):
+        # 2400 x 128 takes C0 first, and its 300-row bond slices end in
+        # partial tiles
+        q = deco_quantize(rand((2400, 128), 1), 4)
+        x = rand((3, 128), 2)
+        meter = WorkingSetMeter()
+        got = compress._fp_first_matmul_t(x, q, meter)
+        want = x.astype(np.float64) @ deco_dequantize(q).astype(np.float64).T
+        assert rel_err(want, got) < 1e-5
+        assert 0 < meter.peak_elements <= TILE_ELEMENTS
+        assert meter.total_unpacked == q.local_tensors[1].count
+        assert fused_matmul_t(x, q).tobytes() == got.tobytes()
+
     def test_shape_mismatch(self):
         q = deco_quantize(rand((16, 16)), 4)
         with pytest.raises(ShapeMismatch):

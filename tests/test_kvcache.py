@@ -393,6 +393,16 @@ class TestSimulate:
         assert trace[0]["step"] == 0 and trace[0]["tokens"] == 24
         assert ledger.bytes_actual == trace[0]["bytes_actual"]
 
+    def test_zero_length_prompt(self):
+        # chunks of 8 seal at steps 8 and 16 in each of the two layers
+        cfg = CacheConfig(layers=2, dim=32, bits=4, chunk_len=8)
+        _, trace = simulate_generation(cfg, 0, 20, seed=5, audit=True)
+        assert trace[0]["tokens"] == 0 and trace[0]["segments"] == 0
+        assert trace[1]["score_deviation"] is None  # nothing cached to score
+        assert all(r["score_deviation"] is not None for r in trace[2:])
+        assert [r["tokens"] for r in trace] == list(range(21))
+        assert [r["segments"] for r in trace] == [2 * (s // 8) for s in range(21)]
+
     def test_ratio_converges(self):
         cfg = CacheConfig(layers=1, dim=64, bits=4, chunk_len=64)
         ledger, _ = simulate_generation(cfg, prompt_len=64, gen_len=64 * 7, seed=1)

@@ -172,6 +172,15 @@ class TestDequantize:
         with pytest.raises(CorruptPayload):
             QuantizedTensor(shape=(2,), bits=4, scale=scale, payload=b"\x00")
 
+    def test_count_is_exact(self):
+        # 2**80 and 2**64 elements: a count that wrapped in int64 would be 0,
+        # which an empty payload fits
+        for shape in ((2**40, 2**40), (2**62, 4)):
+            with pytest.raises(CorruptPayload):
+                QuantizedTensor(shape=shape, bits=4, scale=1.0, payload=b"")
+        assert QuantizedTensor((), 4, 1.0, b"\x00").count == 1
+        assert QuantizedTensor((0, 5), 4, 1.0, b"").count == 0
+
 
 class TestPacking:
     def test_layout_4bit(self):
