@@ -5,7 +5,7 @@ Run from the root of a checkout, once per checkout, and diff the outputs:
     PYTHONPATH=src python bench/digests.py > after.txt
     PYTHONPATH=<other checkout>/src python bench/digests.py > before.txt
 
-Cases, at fixed seeds, 157 lines:
+Cases, at fixed seeds, 161 lines:
 
 * the DQZ1 file of deco_quantize at 512^2, 2048x128, 2400x128, 256x128,
   120x72 (n = 3) and 7x301, at 2, 4 and 8 bits (18 lines);
@@ -16,7 +16,9 @@ Cases, at fixed seeds, 157 lines:
 * the analyze-outliers CSV of a 512^2 matrix, and the dquant bench CSV of
   each experiment at --seeds 1 (4 lines);
 * every attention_scores and read_values output of a b4 and a full-precision
-  KvCache run, and the ledger at its end (6 lines).
+  KvCache run, and the ledger at its end (6 lines);
+* synth_activations at 1x1, 7x301, 100x37 and 129x65, with 0, 3, 0 and 8
+  outlier columns (4 lines).
 
 The name does not match test_*.py, so tier-1 collection skips it.
 """
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dquant import cli, compress, formats, kvcache, mpo
+from dquant import analysis, cli, compress, formats, kvcache, mpo
 
 SHAPES = (
     (512, 512, 2), (2048, 128, 2), (2400, 128, 2), (256, 128, 2), (120, 72, 3),
@@ -39,6 +41,7 @@ SHAPES = (
 )
 BITS = (2, 4, 8)
 PRODUCT_ROWS = (1, 3, 64)
+SYNTH_CASES = ((1, 1, 0), (7, 301, 3), (100, 37, 0), (129, 65, 8))
 
 
 def digest(*arrays) -> str:
@@ -122,10 +125,17 @@ def cache_cases():
         )
 
 
+def synth_cases():
+    for rows, cols, outlier_cols in SYNTH_CASES:
+        m = analysis.synth_activations(rows, cols, outlier_cols, seed=rows)
+        yield f"synth_activations.{rows}x{cols}.o{outlier_cols}", digest(m)
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for case, sha in (*chain_cases(tmp), *cli_cases(tmp), *cache_cases()):
+        cases = (*chain_cases(tmp), *cli_cases(tmp), *cache_cases(), *synth_cases())
+        for case, sha in cases:
             sys.stdout.write(f"{case} {sha}\n")
 
 

@@ -17,11 +17,19 @@ which it reads better than the parent, in the direction of the metric's
 claimed on that metric: at least nine tenths of the pairs won, and the
 medians apart by more than the distance between the parent's quartiles.
 
+A second table checks each metric against its `bound`. "worse by" is the
+change's median against the parent's, relative to the parent's, positive
+when worse; "spread" is the distance between the parent's quartiles,
+relative to its median. A metric is "worse" when it is worse by more than
+its bound, and "unresolved" when its spread is wider than the bound, unless
+every run of the change reads better than every run of the parent.
+
 The name does not match test_*.py, so tier-1 collection skips it.
 """
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +66,13 @@ def spread(values):
     return median(values), q1, q3
 
 
+def relative(delta, base):
+    """delta / |base|: 0.0 when delta is 0, +-inf when only base is."""
+    if not delta:
+        return 0.0
+    return delta / abs(base) if base else math.copysign(math.inf, delta)
+
+
 def summarize(pairs, metrics):
     """One row per metric measured in every pair.
 
@@ -78,8 +93,20 @@ def summarize(pairs, metrics):
             "metric": name, "parent": (p_med, p_q1, p_q3),
             "change": (c_med, c_q1, c_q3), "wins": wins, "pairs": len(pairs),
             "claim": 10 * wins >= 9 * len(pairs) and gain > p_q3 - p_q1,
+            "worse_by": relative(-gain, p_med),
+            "spread": relative(p_q3 - p_q1, p_med),
+            "apart": min(sign * c for c in change) > max(sign * p for p in parent),
         })
     return rows
+
+
+def verdict(row, bound):
+    """'worse', 'unresolved' or 'ok': the no-regression rule for one metric."""
+    if row["worse_by"] > bound:
+        return "worse"
+    if row["spread"] > bound and not row["apart"]:
+        return "unresolved"
+    return "ok"
 
 
 def format_rows(rows):
@@ -90,6 +117,17 @@ def format_rows(rows):
         sides = ["{:.4g} [{:.4g}, {:.4g}]".format(*r[s]) for s in ("parent", "change")]
         lines.append(f"{r['metric']:<24}{sides[0]:>36}{sides[1]:>36}"
                      f"{r['wins']:>5}/{r['pairs']:<2}  {'yes' if r['claim'] else 'no'}")
+    return lines
+
+
+def format_bounds(rows, metrics):
+    """The regression table, one line per metric, against BENCHMARK.json's bounds."""
+    bounds = {spec["name"]: spec["bound"] for spec in metrics}
+    lines = [f"{'metric':<24}{'worse by':>10}{'spread':>10}{'bound':>10}  verdict"]
+    for r in rows:
+        bound = bounds[r["metric"]]
+        lines.append(f"{r['metric']:<24}{r['worse_by']:>+10.1%}{r['spread']:>10.1%}"
+                     f"{bound:>10.1%}  {verdict(r, bound)}")
     return lines
 
 
@@ -113,7 +151,9 @@ def main(argv=None):
         pairs.append((sides["parent"], sides["change"]))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     print(f"{args.workload}, {len(pairs)} pairs, seeds {args.seeds}")
-    print("\n".join(format_rows(summarize(pairs, spec))))
+    rows = summarize(pairs, spec)
+    print("\n".join(format_rows(rows)))
+    print("\n".join(format_bounds(rows, spec)))
     return 0
 
 

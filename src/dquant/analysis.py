@@ -3,7 +3,9 @@
 The error metric everywhere is the Frobenius norm of the reconstruction
 residual (plus its value relative to the input norm). Sweeps report one
 record per (matrix, method, bit width); ordering claims are made on suite
-medians only.
+medians only. Every deco-tl-only arm packs the chain factorize returns
+through compress._pack_chain, the rule deco_quantize ships, so a sweep
+measures what the library stores; deco-both packs every core of that chain.
 """
 
 import csv
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mpo
-from .compress import deco_dequantize, factorize
+from .compress import _pack_chain, deco_dequantize, factorize
 from .errors import EmptyInput, NonFiniteInput, ShapeMismatch
 from .quantize import _check_size, dequantize, quantize_rtn
 
@@ -90,15 +92,8 @@ def iqr_stats(values) -> OutlierStats:
 
 
 def _sign_pattern(idx: int, n: int) -> np.ndarray:
-    """+-1 pattern from bit-parity of t & idx on the covering dyadic grid."""
-    m = 1 << max(1, (n - 1).bit_length())
-    t = np.arange(m)
-    bits = t & idx
-    parity = np.zeros(m, dtype=np.int64)
-    while np.any(bits):
-        parity ^= bits & 1
-        bits >>= 1
-    return (1.0 - 2.0 * parity)[:n]
+    """+-1 Walsh pattern (-1)^popcount(t & idx) for t < n; idx is 0 or a power of 2."""
+    return 1.0 - 2.0 * ((np.arange(n) & idx) > 0)
 
 
 def _pattern_pairs(rows: int, cols: int, count: int):
@@ -152,8 +147,7 @@ def synth_activations(
         base += (w * coeff) * np.outer(_sign_pattern(ri, rows), _sign_pattern(ci, cols))
     base /= np.sqrt(np.mean(base * base, axis=0))
     idx = rng.choice(cols, size=outlier_cols, replace=False)
-    if outlier_cols:
-        base[:, idx] *= outlier_scale
+    base[:, idx] *= outlier_scale
     return base.astype(np.float32)
 
 
@@ -191,18 +185,17 @@ def _errors(original, reconstructed):
     return err, err / norm if norm else 0.0
 
 
-def _quantize_cores(chain: mpo.MpoChain, bits: int, skip_first: bool) -> np.ndarray:
-    """Pack every core (all but the first if skip_first) and rebuild the matrix."""
-    cores = tuple(
-        t if k == 0 and skip_first else quantize_rtn(t, bits)
-        for k, t in enumerate(chain.local_tensors)
-    )
-    return deco_dequantize(mpo.MpoChain(cores))
-
-
 def _chain_overhead(chain: mpo.MpoChain) -> float:
     stored = sum(t.size for t in chain.local_tensors)
     return stored / (chain.rows * chain.cols)
+
+
+def _tl_only(m, chain: mpo.MpoChain, bits: int, seed: int) -> ErrorRecord:
+    """The deco-tl-only record of m's chain, packed as deco_quantize packs it."""
+    err, rel = _errors(m, deco_dequantize(_pack_chain(chain, bits)))
+    return ErrorRecord(
+        METHOD_TL_ONLY, bits, chain.n, seed, err, rel, _chain_overhead(chain)
+    )
 
 
 def strategy_sweep(suite, bits_list=(2, 4, 8)):
@@ -210,8 +203,7 @@ def strategy_sweep(suite, bits_list=(2, 4, 8)):
 
     One record per (seed, method, bits); n is fixed at 2. Both core arms
     use the chain deco_quantize packs (its plan and gauge); the "large core
-    only" arm is the compression default (first core kept at full
-    precision).
+    only" arm is deco_quantize's packing (first core kept at full precision).
     """
     records = []
     for seed, m in enumerate(suite):
@@ -220,9 +212,9 @@ def strategy_sweep(suite, bits_list=(2, 4, 8)):
         for bits in bits_list:
             err, rel = _errors(m, dequantize(quantize_rtn(m, bits)))
             records.append(ErrorRecord(METHOD_MATRIX_RTN, bits, 2, seed, err, rel, 1.0))
-            err, rel = _errors(m, _quantize_cores(chain, bits, skip_first=True))
-            records.append(ErrorRecord(METHOD_TL_ONLY, bits, 2, seed, err, rel, overhead))
-            err, rel = _errors(m, _quantize_cores(chain, bits, skip_first=False))
+            records.append(_tl_only(m, chain, bits, seed))
+            both = mpo.MpoChain(tuple(quantize_rtn(t, bits) for t in chain.local_tensors))
+            err, rel = _errors(m, deco_dequantize(both))
             records.append(ErrorRecord(METHOD_BOTH, bits, 2, seed, err, rel, overhead))
     return sorted(records, key=lambda r: (r.seed, r.method, r.bits))
 
@@ -232,13 +224,7 @@ def length_sweep(suite, n_list=(2, 3, 4), bits=4):
     records = []
     for seed, m in enumerate(suite):
         for n in n_list:
-            chain = factorize(m, n)
-            err, rel = _errors(m, _quantize_cores(chain, bits, skip_first=True))
-            records.append(
-                ErrorRecord(
-                    METHOD_TL_ONLY, bits, n, seed, err, rel, _chain_overhead(chain)
-                )
-            )
+            records.append(_tl_only(m, factorize(m, n), bits, seed))
     return sorted(records, key=lambda r: (r.seed, r.n, r.bits))
 
 
@@ -262,11 +248,7 @@ def decomposition_comparison(suite, bits=4):
     """
     records = []
     for seed, m in enumerate(suite):
-        chain = factorize(m, 2)
-        err, rel = _errors(m, _quantize_cores(chain, bits, skip_first=True))
-        records.append(
-            ErrorRecord(METHOD_TL_ONLY, bits, 2, seed, err, rel, _chain_overhead(chain))
-        )
+        records.append(_tl_only(m, factorize(m, 2), bits, seed))
         # float64 in: a float32 Gram matrix loses the small singular values;
         # _split consumes its input, and QR still needs m64
         m64 = np.asarray(m, dtype=np.float64)

@@ -164,18 +164,21 @@ def factorize(m: np.ndarray, n: int = 2) -> mpo.MpoChain:
     return chain
 
 
+def _pack_chain(chain: mpo.MpoChain, bits: int) -> mpo.MpoChain:
+    """The packing rule: every core but the first quantized to `bits`."""
+    first, *rest = chain.local_tensors
+    return mpo.MpoChain((first, *(quantize_rtn(t, bits) for t in rest)))
+
+
 def deco_quantize(m: np.ndarray, bits: int, n: int = 2) -> mpo.MpoChain:
-    """Factorize and quantize every core except the first.
+    """Factorize, then pack the chain by _pack_chain's rule.
 
     The plan and gauge follow the module rules: the full-precision first
     core holds at most max(1, rows*cols/64) values, and every left-bond
     slice of a packed core reaches +-qmax unless it is all zero.
     """
     bits = _check_bits(bits)
-    chain = factorize(m, n)
-    cores = [chain.local_tensors[0]]
-    cores += [quantize_rtn(t, bits) for t in chain.local_tensors[1:]]
-    return mpo.MpoChain(tuple(cores))
+    return _pack_chain(factorize(m, n), bits)
 
 
 def deco_dequantize(q: mpo.MpoChain) -> np.ndarray:

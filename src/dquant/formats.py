@@ -27,6 +27,7 @@ factor lists; a mismatch is MalformedFile.
 """
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -80,9 +81,7 @@ def _read_tensor_body(f):
     dims = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim, "dims"))
     if any(d > 1 << 40 for d in dims):
         raise MalformedFile("implausible dimension size")
-    count = 1
-    for d in dims:
-        count *= int(d)
+    count = math.prod(dims)
     if dtype == DTYPE_FLOAT32:
         _require_left(f, 4 * count, "float payload")
         arr = np.empty(dims, dtype="<f4")

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dquant import (
+    deco_dequantize,
+    deco_quantize,
     decomposition_comparison,
     default_suite,
     iqr_stats,
@@ -22,7 +24,9 @@ from dquant.analysis import (
     METHOD_TL_ONLY,
     OUTLIERS_CSV_COLUMNS,
     OutlierStats,
+    _pattern_pairs,
     _quantize_larger,
+    _sign_pattern,
     median_by,
     write_errors_csv,
     write_outliers_csv,
@@ -296,3 +300,49 @@ class TestCsvWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(ERRORS_CSV_COLUMNS)
         assert len(lines) == 1 + len(records)
+
+
+def round_trip_errors(m, bits, n):
+    """Frobenius and relative error of deco_quantize then deco_dequantize."""
+    m64 = np.asarray(m, np.float64)
+    rec = deco_dequantize(deco_quantize(m, bits, n)).astype(np.float64)
+    err = float(np.linalg.norm(m64 - rec))
+    return err, err / float(np.linalg.norm(m64))
+
+
+class TestTlOnlyIsTheShippedRule:
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_every_sweep_measures_deco_quantize(self, bits):
+        suite = small_suite(2, 96, 64)
+        records = [
+            *strategy_sweep(suite, (bits,)),
+            *length_sweep(suite, (2, 3, 4), bits=bits),
+            *decomposition_comparison(suite, bits=bits),
+        ]
+        tl_only = [r for r in records if r.method == METHOD_TL_ONLY]
+        assert sorted(r.n for r in tl_only) == [2] * 6 + [3] * 2 + [4] * 2
+        for r in tl_only:
+            assert r.bits == bits
+            assert (r.frobenius_error, r.relative_error) == round_trip_errors(
+                suite[r.seed], bits, r.n
+            )
+
+
+class TestSignPatterns:
+    SIZES = (1, 2, 3, 37, 64, 100, 301, 512, 599)
+
+    def test_pattern_pairs_take_zero_or_powers_of_two(self):
+        for rows in self.SIZES:
+            for cols in self.SIZES:
+                for pair in _pattern_pairs(rows, cols, 10**6):
+                    for idx in pair:
+                        assert idx & (idx - 1) == 0, (rows, cols, idx)
+
+    @pytest.mark.parametrize("n", [1, 3, 37, 100, 301])
+    def test_walsh_parity(self, n):
+        used = {r for r, _ in _pattern_pairs(n, n, 10**6)}
+        for idx in used | {1 << k for k in range(11)}:
+            got = _sign_pattern(idx, n)
+            expected = [(-1.0) ** bin(t & idx).count("1") for t in range(n)]
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, expected)

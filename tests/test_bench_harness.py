@@ -77,7 +77,7 @@ def test_digests_script_prints_one_line_per_case():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     cases = [line.split(" ")[0] for line in lines]
-    assert len(set(cases)) == len(cases) == 157
+    assert len(set(cases)) == len(cases) == 161
     assert all(len(line.split(" ")[1]) == 64 for line in lines)
     for case in ("dqz1.120x72.n3.b2", "fused_matmul_t.7x301.n2.b8.p64",
                  "fused_matmul_t.2400x128.n2.b4.p3", "kv-sim.b4.audit",
@@ -125,3 +125,42 @@ def test_pairs_summary_applies_the_claim_rule():
     assert len(lines) == 4
     assert lines[1].startswith("gemm64_ms.p75") and lines[1].endswith("9/10  yes")
     assert lines[3].endswith("10/10  no")
+
+
+def test_pairs_bound_report_marks_worse_and_unresolved():
+    path = ROOT / "bench" / "pairs.py"
+    spec = importlib.util.spec_from_file_location("pairs", path)
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+
+    wide = [6.0, 10.0, 14.0, 10.0, 18.0]  # median 10, quartiles 10 and 14
+    sides = {  # metric: (parent runs, change runs)
+        "gemv_ms.p75": ([10.0] * 5, [13.0] * 5),  # 30% slower
+        "itl_ms.p75": (wide, [9.5, 9.5, 15.0, 9.0, 9.0]),  # better median, overlaps
+        "gemm64_ms.p75": (wide, [5.0] * 5),  # below every parent run
+        "decode_tok_s": ([100.0] * 5, [70.0] * 5),  # higher is better: 30% worse
+        "ok_rate": ([1.0] * 5, [1.0, 1.0, 0.999, 1.0, 1.0]),
+    }
+    runs = [({m: p[i] for m, (p, _) in sides.items()},
+             {m: c[i] for m, (_, c) in sides.items()}) for i in range(5)]
+    metrics = [{"name": m, "bound": 0.001 if m == "ok_rate" else 0.25,
+                "better": "higher" if m in ("decode_tok_s", "ok_rate") else "lower"}
+               for m in sides]
+    rows = pairs.summarize(runs, metrics)
+    by_name = {r["metric"]: r for r in rows}
+    assert by_name["gemv_ms.p75"]["worse_by"] == 0.3
+    assert by_name["decode_tok_s"]["worse_by"] == 0.3
+    assert by_name["itl_ms.p75"]["worse_by"] == -0.05
+    assert by_name["itl_ms.p75"]["spread"] == 0.4
+    assert not by_name["itl_ms.p75"]["apart"] and by_name["gemm64_ms.p75"]["apart"]
+    assert by_name["ok_rate"]["worse_by"] == 0.0  # medians equal
+
+    lines = pairs.format_bounds(rows, metrics)
+    assert len(lines) == 1 + len(sides)
+    verdicts = {line.split()[0]: line.split()[-1] for line in lines[1:]}
+    assert verdicts == {"gemv_ms.p75": "worse", "itl_ms.p75": "unresolved",
+                        "gemm64_ms.p75": "ok", "decode_tok_s": "worse", "ok_rate": "ok"}
+    assert lines[1].split()[1:4] == ["+30.0%", "0.0%", "25.0%"]
+    # the claim table reads the same rows unchanged
+    assert len(pairs.format_rows(rows)) == 1 + len(sides)
+    assert pairs.relative(0.0, 0.0) == 0.0 and pairs.relative(1.0, 0.0) == float("inf")

@@ -67,9 +67,9 @@ class TestTransposedProductOrder:
         check_transposed_product(q, p, 2)
         assert calls == ([shape] if fp_first else [])
 
-    def test_tiles_crossing_a_bond_index_are_split(self, monkeypatch):
-        # C1 read as its (d * i1, j1) = (900, 16) matrix: 256-row tiles, and
-        # the bond index k changes inside the second and the third
+    def test_bond_slices_end_in_partial_tiles(self, monkeypatch):
+        # C1 read as its d = 3 stacked (i1, j1) = (300, 16) bond slices: each
+        # is one 256-row tile and one 44-row partial tile
         c0 = rand((1, 2, 2, 3), 3)
         c1 = quantize_rtn(rand((3, 300, 16, 1), 4), 4)
         q = mpo.MpoChain((c0, c1))
