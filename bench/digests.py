@@ -5,12 +5,13 @@ Run from the root of a checkout, once per checkout, and diff the outputs:
     PYTHONPATH=src python bench/digests.py > after.txt
     PYTHONPATH=<other checkout>/src python bench/digests.py > before.txt
 
-Cases, at fixed seeds, 161 lines:
+Cases, at fixed seeds, 179 lines:
 
 * the DQZ1 file of deco_quantize at 512^2, 2048x128, 2400x128, 256x128,
   120x72 (n = 3) and 7x301, at 2, 4 and 8 bits (18 lines);
 * for each of those chains, fused_matmul and fused_matmul_t at p = 1, 3 and
-  64, and the rebuild (mpo.reconstruct) (126 lines);
+  64, the rebuild (mpo.reconstruct), and the int8 codes() of every packed
+  core (144 lines);
 * the kv-sim trace CSVs of a b4 --audit run, a b4 --audit run with
   --prompt-len 0 and a --bits 16 run (3 lines);
 * the analyze-outliers CSV of a 512^2 matrix, and the dquant bench CSV of
@@ -68,6 +69,7 @@ def chain_cases(tmp):
             formats.write_mpo(path, chain)
             yield f"dqz1.{label}", file_digest(path)
             yield f"reconstruct.{label}", digest(mpo.reconstruct(chain))
+            yield f"codes.{label}", digest(*(t.codes() for t in chain.quantized_locals))
             for p in PRODUCT_ROWS:
                 x = rng.standard_normal((p, rows)).astype(np.float32)
                 xt = rng.standard_normal((p, cols)).astype(np.float32)

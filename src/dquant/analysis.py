@@ -161,18 +161,14 @@ def default_suite(seeds=range(20)):
 
 
 def migration_report(m: np.ndarray):
-    """IQR stats for the matrix and both cores of its plan_shapes length-2 chain.
+    """IQR stats for the float32 matrix and both cores of its factorize(m, 2) chain.
 
     Returns (matrix_stats, large_stats, small_stats). On outlier-heavy
     inputs the large core's IQR collapses far below the matrix IQR while
     the small core keeps the wide values.
     """
-    m = np.asarray(m, dtype=np.float32)
-    if m.ndim != 2:
-        raise ShapeMismatch("migration_report expects a matrix")
-    chain = mpo.decompose(m, mpo.plan_shapes(m.shape[0], m.shape[1], 2))
-    large, small = mpo.split_large_small(chain)
-    return iqr_stats(m), iqr_stats(large), iqr_stats(small)
+    large, small = mpo.split_large_small(factorize(m, 2))
+    return iqr_stats(np.asarray(m, dtype=np.float32)), iqr_stats(large), iqr_stats(small)
 
 
 def _frob(x) -> float:

@@ -26,8 +26,10 @@ Unpacking is a table lookup at every width. CODE_TABLES[bits] is a
 read-only (256, 8 // bits) int8 table, built once: row b holds the codes
 packed in byte b, lowest-order lane first, so CODE_TABLES[4][0xF1] is
 [1, -1]. Gathering its rows for a run of payload bytes and flattening them
-gives the codes in element order; unpack_range takes any table with 256
-rows in this lane order.
+gives the codes in element order. unpack_range gathers a range through any
+table with 256 rows in this lane order; unpack and codes() go through it. A
+read's unpack_range calls gather at most a tile each, which dqbench's traced
+runs check, so values(), the rebuild's decode of a whole core, takes its own.
 
 Every read of a packed tensor gathers through one table of decoded values,
 QuantizedTensor.value_table() = CODE_TABLES[bits] * scale in float64: the
@@ -118,7 +120,7 @@ class QuantizedTensor:
     def values(self) -> np.ndarray:
         """Exact float64 code * scale of every element, in the tensor's shape."""
         chunk = np.frombuffer(self.payload, dtype=np.uint8)
-        return _gather(self.value_table(), chunk, 0, self.count).reshape(self.shape)
+        return self.value_table().take(chunk, 0).reshape(-1)[: self.count].reshape(self.shape)
 
 
 def pack(values, bits: int) -> bytes:
@@ -165,13 +167,12 @@ def _pack_into(codes, bits, out):
 
 
 def unpack(payload: bytes, count: int, bits: int) -> np.ndarray:
-    """Inverse of pack; returns int8 codes."""
+    """Inverse of pack; returns int8 codes, refusing a payload of another length."""
     bits = _check_bits(bits)
-    if len(payload) != payload_size(count, bits):
-        raise CorruptPayload(
-            f"payload is {len(payload)} bytes, expected {payload_size(count, bits)}"
-        )
-    return _gather(CODE_TABLES[bits], np.frombuffer(payload, dtype=np.uint8), 0, count)
+    codes = unpack_range(payload, 0, count, bits)
+    if len(payload) != (want := payload_size(codes.size, bits)):
+        raise CorruptPayload(f"payload is {len(payload)} bytes, expected {want}")
+    return codes
 
 
 def unpack_range(
@@ -184,21 +185,24 @@ def unpack_range(
     `table`, a (256, 8 // bits) array in CODE_TABLES lane order; the
     default, CODE_TABLES[bits], gives int8 codes. The fused multiply
     passes a core's value_table(), so each of its tiles is dequantized by
-    this one gather. The elements go to `out`, a 1-D array of count elements
-    of the table's dtype (else ShapeMismatch), made here if not given, and
-    out is returned: a range that starts and ends on byte boundaries is
-    gathered straight into it, any other range is gathered fresh and copied.
+    this one gather. start and count must be integers (else ShapeMismatch).
+    `out`, if given, is a 1-D array of count elements of the table's dtype
+    (else ShapeMismatch), filled and returned. A range on byte boundaries is
+    gathered straight into out, made here if not given; any other range is
+    gathered fresh and sliced, and without an out the slice is returned.
     """
     bits = _check_bits(bits)
+    try:
+        start, count = operator.index(start), operator.index(count)
+    except TypeError:
+        raise ShapeMismatch(f"start {start!r}, count {count!r}: not integers") from None
     per = 8 // bits
     byte0 = start // per
     byte1 = (start + count + per - 1) // per
     if byte1 > len(payload) or start < 0 or count < 0:
         raise CorruptPayload("requested element range exceeds payload")
     table = CODE_TABLES[bits] if table is None else table
-    if out is None:
-        out = np.empty(count, table.dtype)
-    elif out.shape != (count,) or out.dtype != table.dtype:
+    if out is not None and (out.shape != (count,) or out.dtype != table.dtype):
         want = f"({count},) {table.dtype}"
         raise ShapeMismatch(f"out must be {want}, got {out.shape} {out.dtype}")
     # positional arguments: numpy parses keywords to frombuffer and take
@@ -206,18 +210,17 @@ def unpack_range(
     chunk = np.frombuffer(payload, np.uint8, byte1 - byte0, byte0)
     skip = start - byte0 * per
     if skip or count % per:
-        out[...] = _gather(table, chunk, skip, count)
-    else:
-        # mode="clip" never clips (a byte always indexes one of the 256
-        # rows) but, unlike "raise", gathers into out without a buffer; the
-        # method skips np.take's dispatch, about 1 us of a 4-6 us tile gather
-        table.take(chunk, 0, out.reshape(-1, per), "clip")
+        whole = table.take(chunk, 0).reshape(-1)[skip : skip + count]
+        if out is None:
+            return whole
+        out[...] = whole
+        return out
+    out = np.empty(count, table.dtype) if out is None else out
+    # mode="clip" never clips (a byte always indexes one of the 256 rows)
+    # but, unlike "raise", gathers into out without a buffer; the method
+    # skips np.take's dispatch, about 1 us of a 4-6 us tile gather
+    table.take(chunk, 0, out.reshape(-1, per), "clip")
     return out
-
-
-def _gather(table, chunk, skip, count):
-    """Elements [skip, skip+count) of the table rows of the bytes in chunk."""
-    return table.take(chunk, 0).reshape(-1)[skip : skip + count]
 
 
 def _code_table(bits):
@@ -251,9 +254,9 @@ def quantize_rtn(t: np.ndarray, bits: int) -> QuantizedTensor:
         raise NonFiniteInput("quantize_rtn requires finite entries")
     qmax = (1 << (bits - 1)) - 1
     amax = max(hi, -lo)
-    scale = np.float32(amax / qmax) if amax > 0 else np.float32(1.0)
+    scale = np.float32(amax / qmax)
     payload = np.zeros(payload_size(t.size, bits), dtype=np.uint8)
-    if amax == 0.0 or float(scale) == 0.0:
+    if scale == 0:
         # zero input, or a subnormal max that underflows the float32 step:
         # store step 1.0 and all-zero codes
         scale = np.float32(1.0)

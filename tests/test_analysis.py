@@ -31,6 +31,7 @@ from dquant.analysis import (
     write_errors_csv,
     write_outliers_csv,
 )
+from dquant.compress import factorize
 from dquant.errors import EmptyInput, ShapeMismatch
 
 
@@ -150,6 +151,13 @@ class TestMigrationReport:
     def test_rejects_a_non_matrix(self):
         with pytest.raises(ShapeMismatch):
             migration_report(np.zeros((4, 4, 4), np.float32))
+
+    @pytest.mark.parametrize("shape", [(512, 512), (96, 64), (7, 301), (1, 1)])
+    def test_cores_are_the_chain_deco_quantize_packs(self, shape):
+        m = synth_activations(*shape, min(4, shape[1]), 20.0, seed=3)
+        first, last = factorize(m, 2).local_tensors
+        mat, large, small = migration_report(m)
+        assert (mat, large, small) == (iqr_stats(m), iqr_stats(last), iqr_stats(first))
 
 
 def small_suite(n=4, rows=128, cols=128):

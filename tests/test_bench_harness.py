@@ -77,7 +77,7 @@ def test_digests_script_prints_one_line_per_case():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     cases = [line.split(" ")[0] for line in lines]
-    assert len(set(cases)) == len(cases) == 161
+    assert len(set(cases)) == len(cases) == 179
     assert all(len(line.split(" ")[1]) == 64 for line in lines)
     for case in ("dqz1.120x72.n3.b2", "fused_matmul_t.7x301.n2.b8.p64",
                  "fused_matmul_t.2400x128.n2.b4.p3", "kv-sim.b4.audit",

@@ -363,6 +363,18 @@ class TestCodeTables:
             unpack_range(pack([1, -1], 8), 1, -1, 8)
 
     @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_start_and_count_must_be_integers(self, bits):
+        payload = pack([1, -1, 0, 1], bits)
+        for start, count in [(1.5, 2), (1, 2.0), (0.0, 4), (1, "2"), (None, 1)]:
+            with pytest.raises(ShapeMismatch):
+                unpack_range(payload, start, count, bits)
+        for count in (4.0, 4.5, "4", None):
+            with pytest.raises(ShapeMismatch):
+                unpack(payload, count, bits)
+        got = unpack_range(payload, np.int64(1), np.int32(2), bits)
+        assert got.tolist() == [-1, 0]
+
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
     def test_rows_are_the_codes_of_each_byte(self, bits):
         table = CODE_TABLES[bits]
         assert table.shape == (256, 8 // bits) and table.dtype == np.int8
