@@ -13,6 +13,7 @@ human-readable tables go to stderr under --verbose.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -160,11 +161,9 @@ def cmd_kv_sim(args):
 def cmd_import_raw(args):
     _check_size(args.rows, "rows")
     _check_size(args.cols, "cols")
+    if (size := os.path.getsize(args.input)) != 4 * args.rows * args.cols:
+        raise MalformedFile(f"file holds {size} bytes, not {args.rows} x {args.cols} float32")
     raw = np.fromfile(args.input, dtype="<f4")
-    if raw.size != args.rows * args.cols:
-        raise MalformedFile(
-            f"file holds {raw.size} float32 values, expected {args.rows * args.cols}"
-        )
     formats.write_tensor(args.out, raw.reshape(args.rows, args.cols))
     return EXIT_OK
 

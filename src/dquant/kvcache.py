@@ -3,7 +3,11 @@
 Lifecycle: prefill stores each of K and V as one compressed segment;
 decode appends full-precision rows to a tail buffer, and the moment the
 tail reaches `chunk_len` rows it is compressed into a new immutable
-segment and the tail resets. Prefilled and appended K and V rows must be
+segment and the tail resets. K, V and query input enters through one
+row rule (_rows), which gives float32 (T, dim) rows or raises DimMismatch:
+prefill takes keys of any row count T and values of the keys' T;
+append_token takes one K and one V row, and attention_scores one query
+row, each as (dim,) or (1, dim). Prefilled and appended K and V rows must be
 finite, in both modes: one check (_check_finite) raises NonFiniteInput
 for a NaN or infinity before anything is written, so the cache is left
 as it was.
@@ -27,7 +31,6 @@ their true size, one 2-byte scale per quantized core.
 
 import csv
 from dataclasses import dataclass, replace
-from numbers import Integral
 from statistics import median
 
 import numpy as np
@@ -44,6 +47,7 @@ from .errors import (
     InvariantViolated,
     LayerOutOfRange,
     NonFiniteInput,
+    ShapeMismatch,
 )
 from .mpo import MpoChain
 from .quantize import _check_bits, _check_size
@@ -91,6 +95,16 @@ class MemoryLedger:
         if self.bytes_fp16_equivalent == 0:
             return 1.0
         return self.bytes_actual / self.bytes_fp16_equivalent
+
+
+def _rows(x, dim, count=None) -> np.ndarray:
+    """The one row rule: x as float32 (T, dim) rows, T = count if given, else DimMismatch."""
+    given = np.asarray(x, dtype=np.float32)
+    rows = given[None] if given.ndim == 1 else given
+    if rows.ndim != 2 or rows.shape[1] != dim or count is not None and len(rows) != count:
+        want = f"{'T' if count is None else count} x {dim}"
+        raise DimMismatch(f"rows must be {want}, got shape {given.shape}")
+    return rows
 
 
 def _check_finite(keys, values):
@@ -143,27 +157,18 @@ class LayerCache:
     def prefill(self, keys: np.ndarray, values: np.ndarray):
         if self.tokens:
             raise AlreadyPrefilled("layer already holds tokens")
-        keys = np.asarray(keys, dtype=np.float32)
-        values = np.asarray(values, dtype=np.float32)
-        if keys.shape != values.shape or keys.ndim != 2:
-            raise DimMismatch("keys and values must both be T x D")
-        if keys.shape[1] != self.config.dim:
-            raise DimMismatch(
-                f"row width {keys.shape[1]} differs from dim {self.config.dim}"
-            )
-        if keys.shape[0] == 0:
+        keys = _rows(keys, self.config.dim)
+        values = _rows(values, self.config.dim, len(keys))
+        if not len(keys):
             return
         _check_finite(keys, values)
         self._seal(keys, values)
 
     def append(self, k_row: np.ndarray, v_row: np.ndarray):
-        k_row = np.asarray(k_row, dtype=np.float32).reshape(-1)
-        v_row = np.asarray(v_row, dtype=np.float32).reshape(-1)
-        if k_row.shape != (self.config.dim,) or v_row.shape != (self.config.dim,):
-            raise DimMismatch(f"rows must have width {self.config.dim}")
+        k_row, v_row = (_rows(r, self.config.dim, 1) for r in (k_row, v_row))
         _check_finite(k_row, v_row)
-        self.key_tail[self.tail_len] = k_row
-        self.value_tail[self.tail_len] = v_row
+        self.key_tail[self.tail_len] = k_row[0]
+        self.value_tail[self.tail_len] = v_row[0]
         self.tail_len += 1
         if self.tail_len == self.config.chunk_len:
             self._seal(self.key_tail, self.value_tail)
@@ -187,11 +192,12 @@ class KvCache:
         self.bytes_moved_read = 0
 
     def _layer(self, layer: int) -> LayerCache:
-        """The layer's cache; LayerOutOfRange unless an integer in 0..layers-1."""
-        if not isinstance(layer, Integral) or not 0 <= layer < self.config.layers:
-            last = self.config.layers - 1
-            raise LayerOutOfRange(f"layer must be an integer in 0..{last}, got {layer!r}")
-        return self.layers[layer]
+        """The layer's cache; LayerOutOfRange unless an integer (the size rule's) in range."""
+        try:
+            return self.layers[_check_size(layer, "layer", 0)]
+        except (ShapeMismatch, IndexError):
+            want = f"an integer in 0..{self.config.layers - 1}"
+            raise LayerOutOfRange(f"layer must be {want}, got {layer!r}") from None
 
     def prefill(self, layer: int, keys, values):
         self._layer(layer).prefill(keys, values)
@@ -217,9 +223,7 @@ class KvCache:
     def attention_scores(self, layer: int, q_row: np.ndarray) -> np.ndarray:
         """q @ K^T / sqrt(D), streaming quantized segments (1 x T)."""
         lc = self._layer(layer)
-        q_row = np.asarray(q_row, dtype=np.float32).reshape(1, -1)
-        if q_row.shape[1] != self.config.dim:
-            raise DimMismatch(f"query width {q_row.shape[1]} != {self.config.dim}")
+        q_row = _rows(q_row, self.config.dim, 1)
         self.bytes_moved_read += _stored_side(lc, lc.key_segment_bytes)
         q64 = q_row.astype(np.float64)
         scores = np.concatenate(

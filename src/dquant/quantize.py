@@ -42,7 +42,7 @@ rounds once, as a float32 multiply of code and scale does.
 import math
 import operator
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -69,9 +69,13 @@ def _check_bits(bits) -> int:
 
 def _check_size(value, what, least=1) -> int:
     """The one size rule: value as an int if an integer >= least, else ShapeMismatch."""
-    if not isinstance(value, Integral) or value < least:
+    try:
+        size = operator.index(value)  # the one integer test, as in _check_bits
+    except TypeError:
+        size = None
+    if size is None or size < least:
         raise ShapeMismatch(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(value)
+    return size
 
 
 def payload_size(count: int, bits: int) -> int:
@@ -129,7 +133,7 @@ def pack(values, bits: int) -> bytes:
     The checks run on the values as given, before they are narrowed to
     int8 and handed to the packer quantize_rtn uses: a value that is not a
     whole number (0.5, NaN) or lies outside [-qmax, qmax] raises
-    RangeOverflow. Integral floats such as 3.0 pack as their integers.
+    RangeOverflow. Whole-number floats such as 3.0 pack as their integers.
     """
     bits = _check_bits(bits)
     v = np.asarray(values).ravel()

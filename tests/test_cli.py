@@ -345,6 +345,25 @@ def test_import_raw(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("nbytes", [27, 28, 0], ids=["3-trailing", "one-more-value", "empty"])
+def test_import_raw_needs_exactly_rows_cols_float32(tmp_path, capsys, monkeypatch, nbytes):
+    raw = tmp_path / "dump.bin"
+    raw.write_bytes(np.arange(7, dtype="<f4").tobytes()[:nbytes])
+    out = tmp_path / "t.dqt"
+
+    def fromfile(*args, **kwargs):
+        raise AssertionError("the file was read before its size was checked")
+
+    monkeypatch.setattr(np, "fromfile", fromfile)
+    code, stdout, err = run(
+        capsys, "import-raw", "--input", str(raw), "--rows", "2", "--cols", "3",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == "" and err.startswith("error: file holds") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_required_flag(capsys):
     code, _, _ = run(capsys, "quantize", "--bits", "4")
     assert code == 2

@@ -385,6 +385,79 @@ class TestAttentionScores:
             cache.attention_scores(0, np.zeros(6, np.float32))
 
 
+ROW_REFUSALS = {
+    "append-2x64": lambda c: c.append_token(0, np.ones((2, 64)), np.ones((2, 64))),
+    "append-key-column": lambda c: c.append_token(0, np.ones((128, 1)), np.ones(128)),
+    "append-value-column": lambda c: c.append_token(0, np.ones(128), np.ones((128, 1))),
+    "append-two-rows": lambda c: c.append_token(0, *kv(2, 128)),
+    "scores-4x32": lambda c: c.attention_scores(0, np.ones((4, 32))),
+    "scores-column": lambda c: c.attention_scores(0, np.ones((128, 1))),
+}
+
+
+class TestRowRule:
+    """K, V and query input enters only as (T, dim) rows; one row also as (dim,)."""
+
+    def filled(self, bits):
+        cache = KvCache(CacheConfig(layers=1, dim=128, bits=bits, chunk_len=4))
+        cache.prefill(0, *kv(6, 128, 1))
+        for k_row, v_row in zip(*kv(5, 128, 2)):  # a second segment, then a tail of 1
+            cache.append_token(0, k_row, v_row)
+        return cache
+
+    @pytest.mark.parametrize("bits", [4, None])
+    @pytest.mark.parametrize("call", list(ROW_REFUSALS))
+    def test_rows_of_another_shape_are_refused_and_change_nothing(self, bits, call):
+        cache = self.filled(bits)
+        lc = cache.layers[0]
+
+        def state():
+            return (lc.tokens, lc.tail_len, len(lc.key_segments),
+                    len(lc.value_segments), cache.ledger())
+
+        before = state()
+        tails = lc.key_tail.copy(), lc.value_tail.copy()
+        with pytest.raises(DimMismatch):
+            ROW_REFUSALS[call](cache)
+        assert state() == before == (11, 1, 2, 2, before[-1])
+        np.testing.assert_array_equal(lc.key_tail, tails[0])
+        np.testing.assert_array_equal(lc.value_tail, tails[1])
+
+    @pytest.mark.parametrize("bits", [4, None])
+    def test_a_row_as_dim_or_as_1_by_dim_is_the_same_row(self, bits):
+        k, v = kv(9, 128, 3)
+        q = kv(1, 128, 4)[0][0]
+        outputs = []
+        for shape in [(128,), (1, 128)]:
+            cache = KvCache(CacheConfig(layers=1, dim=128, bits=bits, chunk_len=4))
+            cache.prefill(0, k[:3], v[:3])
+            for k_row, v_row in zip(k[3:], v[3:]):
+                cache.append_token(0, k_row.reshape(shape), v_row.reshape(shape))
+            assert cache.layers[0].tokens == 9
+            scores = cache.attention_scores(0, q.reshape(shape))
+            assert scores.shape == (1, 9) and scores.dtype == np.float32
+            outputs.append((scores, cache.read_keys(0), cache.read_values(0)))
+        for got, want in zip(*outputs):
+            assert got.tobytes() == want.tobytes()
+
+    def test_prefill_takes_one_row_as_dim_too(self):
+        k, v = kv(1, 16, 5)
+        caches = [KvCache(CacheConfig(layers=1, dim=16, bits=None)) for _ in range(2)]
+        caches[0].prefill(0, k, v)
+        caches[1].prefill(0, k[0], v[0])
+        for cache in caches:
+            np.testing.assert_array_equal(cache.read_keys(0), k)
+            np.testing.assert_array_equal(cache.read_values(0), v)
+
+    @pytest.mark.parametrize("keys,values", [((3, 16), (3, 8)), ((3, 16), (16,)),
+                                             ((2, 2, 16), (2, 2, 16)), ((), ())])
+    def test_prefill_refuses_other_shapes(self, keys, values):
+        cache = KvCache(CacheConfig(layers=1, dim=16, bits=4))
+        with pytest.raises(DimMismatch):
+            cache.prefill(0, np.ones(keys), np.ones(values))
+        assert cache.layers[0].tokens == 0 and not cache.layers[0].key_segments
+
+
 class TestSimulate:
     def test_gen_zero_prefill_only(self):
         cfg = CacheConfig(layers=2, dim=32, bits=4, chunk_len=16)

@@ -237,6 +237,17 @@ class TestSplitLargeSmall:
         assert large.shape == (64, 512, 512, 1)
         assert small.shape == (1, 8, 8, 64)
 
+    def test_larger_first_core_is_large(self):
+        chain = MpoChain(
+            (
+                np.zeros((1, 16, 16, 4), np.float32),
+                np.zeros((4, 2, 2, 1), np.float32),
+            )
+        )
+        large, small = split_large_small(chain)
+        assert large is chain.local_tensors[0]
+        assert small is chain.local_tensors[1]
+
     def test_tie_prefers_last(self):
         chain = decompose(rand((64, 64), 4), plan_shapes(64, 64, 2))
         large, small = split_large_small(chain)

@@ -225,6 +225,13 @@ class TestPacking:
             unpack(b"\x00", 5, 4)
 
     @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_unpack_refuses_a_payload_longer_than_count_needs(self, bits):
+        payload = pack([1, -1, 1], bits)
+        assert unpack(payload, 3, bits).tolist() == [1, -1, 1]
+        with pytest.raises(CorruptPayload, match="expected"):
+            unpack(payload + b"\x00", 3, bits)
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_unpack_range_matches_slices(self, bits):
         rng = np.random.default_rng(bits)
         qmax = 2 ** (bits - 1) - 1
