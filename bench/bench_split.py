@@ -12,7 +12,8 @@ quantize_rtn on the 64x512x512 packed core of the 4096^2 chain (b4), and
 
 Shape, bits, n and the min and median wall time of each case are merged
 into BENCH_split.json at the checkout root (or $BENCH_OUT) under the label
-$BENCH_LABEL (default "current"), so runs of two checkouts can share a file.
+$BENCH_LABEL (default "current"), so runs of two checkouts can share a file,
+each run one more pass of each case (see benchlib for alternating passes).
 """
 
 import io

@@ -14,7 +14,8 @@ read_values rebuild).
 
 Shape, bits, p and the min and median wall time of each case are merged
 into BENCH_unpack.json at the checkout root (or $BENCH_OUT) under the label
-$BENCH_LABEL (default "current"), so runs of two checkouts can share a file.
+$BENCH_LABEL (default "current"), so runs of two checkouts can share a file,
+each run one more pass of each case (see benchlib for alternating passes).
 """
 
 import benchlib  # first: it pins BLAS to one thread before numpy loads

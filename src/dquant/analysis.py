@@ -16,7 +16,7 @@ import numpy as np
 from . import mpo
 from .compress import _pack_chain, deco_dequantize, factorize
 from .errors import EmptyInput, NonFiniteInput, ShapeMismatch
-from .quantize import _check_size, dequantize, quantize_rtn
+from .quantize import _check_dtype, _check_size, dequantize, quantize_rtn
 
 # Synthetic-activation structure: a correlated base built from sign
 # patterns on dyadic grids with Gaussian coefficients, each column then
@@ -70,7 +70,7 @@ class ErrorRecord:
 
 def iqr_stats(values) -> OutlierStats:
     """Quartiles by linear interpolation at p*(n-1), fences at 1.5*IQR."""
-    v = np.asarray(values, dtype=np.float64).ravel()
+    v = np.asarray(_check_dtype(values, "values"), dtype=np.float64).ravel()
     if v.size == 0:
         raise EmptyInput("iqr_stats needs at least one value")
     if not np.isfinite(v).all():

@@ -35,14 +35,29 @@ walk), so no code array is made and no per-tile scaling pass runs. The
 rebuild decodes through the same table (see the quantize docstring), so
 deco_dequantize holds exactly the values fused_matmul multiplies. A walk
 gathers its tiles into one buffer (a slab walk, one slab) made per walk.
-A sweep's tile product is a fresh array: at these sizes (8 x 256 at 2048^2,
-p = 1) np.matmul into one product buffer made per call was about 7% slower
-per call, its out= handling costing more than the allocation it saves.
+
+A sweep multiplies a run of tiles at a time. Where a tile is fewer than
+isqrt(TILE_ELEMENTS) = 64 whole rows, the walk gathers consecutive tiles
+of one matrix, each still one unpack_range, into its buffer until the run
+would pass 64 rows or 8 * TILE_ELEMENTS values, or the matrix ends, and
+the sweep makes one GEMM per run. At 2048^2, p = 1, that is 256 GEMMs of
+(8 x 64) @ (64 x 256) where one per tile made 1024 of (8 x 16) @ (16 x
+256), and the fixed cost of those calls was about half of the product's
+time. Larger runs spill L2: in a probe of the packed core's loop at
+4096^2 (BLAS at one thread) 64-row runs took 30 ms, square runs 41 ms and
+one GEMM per tile 43 ms; on rows of 4096 values, 8-row runs were as fast
+as 16 to 64 rows. A tile of 64 or more rows, or a piece of a row wider
+than a tile, is a run of its own. So each gather is one tile, and a
+sweep's walk buffer holds one run: at most 64 rows and 8 * TILE_ELEMENTS
+values, or one tile. A run's product is a fresh array: at these sizes (8
+x 256 at 2048^2, p = 1) np.matmul into one product buffer made per call
+was about 7% slower per call, its out= handling costing more than the
+allocation it saves.
 
 fused_matmul has two contraction orders for x (p rows) @ W:
 
 * Sweep (any chain): left to right, x meets each core in turn, the packed
-  ones tile by tile. For W = C0 (1, i0, j0, d) C1 (d, i1, j1, 1) the packed
+  ones run by run. For W = C0 (1, i0, j0, d) C1 (d, i1, j1, 1) the packed
   GEMM takes p * j0 operand rows through C1, p * |W| * d / i0 mult-adds.
 * Slab (n = 2, C1 packed, C0 full precision): C1 is read as its d stacked
   (i1, j1) matrices, which share the tile geometry above. One walk over
@@ -60,13 +75,13 @@ W at 2048^2, 1/64 at 4096^2, all of W only when W is that small (512^2).
 
 fused_matmul_t has two contraction orders for x (p rows) @ W.T:
 
-* Sweep (any chain): right to left, x meets the packed C1 first, tile by
-  tile, then C0: p * j0 * d * i1 * (j1 + i0) mult-adds for n = 2, through
+* Sweep (any chain): right to left, x meets the packed C1 first, run by
+  run, then C0: p * j0 * d * i1 * (j1 + i0) mult-adds for n = 2, through
   a (d * i1, j0 * p) intermediate (1 MB at 2048x128, p = 1).
 * Full precision first (n = 2, C1 packed, C0 full precision): x meets C0
   first, z[k, j1, (p, i0)] = sum_j0 x * C0 (d * j1 * p * i0 values, 8K at
-  2048x128, p = 1), then C1's tiles, read as its d stacked (i1, j1) bond
-  slices, add into one (i1, p * i0) accumulator, tile @ z[k] for a tile of
+  2048x128, p = 1), then C1's runs, read as its d stacked (i1, j1) bond
+  slices, add into one (i1, p * i0) accumulator, run @ z[k] for a run of
   slice C1[k]. That is p * i0 * d * j1 * (i1 + j0) mult-adds.
 
 Full precision first is taken when it does no more mult-adds, i0 * j1 *
@@ -84,13 +99,14 @@ once.
 """
 
 from dataclasses import dataclass
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 
 from . import mpo
 from .errors import ShapeMismatch
-from .quantize import QuantizedTensor, _check_bits, quantize_rtn, unpack_range
+from .quantize import QuantizedTensor, _check_bits, _check_dtype, quantize_rtn
+from .quantize import unpack_range
 
 TILE_ELEMENTS = 64 * 64
 FP_CORE_SHARE = 64  # the first core holds at most 1/64 of the matrix's values
@@ -156,7 +172,7 @@ def _regauge(cores):
 
 def factorize(m: np.ndarray, n: int = 2) -> mpo.MpoChain:
     """The planned and regauged chain that deco_quantize packs (float32)."""
-    m = np.asarray(m, dtype=np.float32)
+    m = np.asarray(_check_dtype(m, "matrix"), dtype=np.float32)
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got shape {m.shape}")
     chain = mpo.decompose(m, _plan(m.shape[0], m.shape[1], n))
@@ -186,45 +202,68 @@ def deco_dequantize(q: mpo.MpoChain) -> np.ndarray:
     return mpo.reconstruct(q)
 
 
-def _grid(rows: int, cols: int, stack: int):
-    """Each tile of `stack` stacked (rows, cols) matrices, as (rs, cs, start, h, w).
+def _grid(rows: int, cols: int, stack: int, runs: bool = False):
+    """The blocks of `stack` stacked (rows, cols) matrices, and a tile's values.
 
-    Whole rows of one matrix while a row fits in TILE_ELEMENTS, else
-    TILE_ELEMENTS-wide pieces of one row, in payload order: rs indexes the
-    stacked rows, no tile crosses from one matrix to the next, and the tile
-    is the contiguous range of h * w values at `start`. A list, made once
-    per walk.
+    A tile is whole rows of one matrix while a row fits in TILE_ELEMENTS,
+    else a TILE_ELEMENTS-wide piece of one row. A block is one tile or,
+    with `runs`, a run: as many consecutive whole-row tiles as fit in
+    isqrt(TILE_ELEMENTS) = 64 rows and 8 * TILE_ELEMENTS values, at least
+    one, cut short at a matrix's end. Blocks are listed in payload order
+    as (rs, cs, start, h, w): rs indexes the stacked rows, no block crosses
+    from one matrix to the next, and the block is the contiguous range of
+    h * w values at `start`. The first block is the largest. A list, made
+    once per walk.
     """
     height, width = max(1, TILE_ELEMENTS // cols), min(cols, TILE_ELEMENTS)
+    size = height * width
+    if runs and width == cols:
+        cap = min(isqrt(TILE_ELEMENTS), 8 * TILE_ELEMENTS // cols)
+        height *= max(1, cap // height)
     pieces = [slice(c0, min(cols, c0 + width)) for c0 in range(0, cols, width)]
     row_blocks = [
         slice(r0, min(top + rows, r0 + height))
         for top in range(0, stack * rows, rows)
         for r0 in range(top, top + rows, height)
     ]
-    return [
+    blocks = [
         (rs, cs, rs.start * cols + cs.start, rs.stop - rs.start, cs.stop - cs.start)
         for rs in row_blocks
         for cs in pieces
     ]
+    return blocks, size
 
 
 def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter):
-    """Yield (row slice, column slice, float64 tile) over a packed core's tiles.
+    """Yield (row slice, column slice, float64 run) over a packed core's runs.
 
     The core is read as count / (rows * cols) stacked (rows, cols) matrices
-    (one for a sweep). Each tile of _grid is one unpack_range through the
-    core's table of code * scale, gathered into the front of one buffer of
-    TILE_ELEMENTS float64 values made per walk, so a tile is valid only
-    until the next is drawn.
+    (one for a sweep), in the runs of _grid. Each tile of a run is one
+    unpack_range through the core's table of code * scale, gathered into
+    its place in one buffer made per walk, so a run is valid only until the
+    next is drawn.
     """
     table = qt.value_table()
-    buf = np.empty(TILE_ELEMENTS, dtype=np.float64)
-    for rs, cs, start, h, w in _grid(rows, cols, qt.count // (rows * cols)):
-        tile = unpack_range(qt.payload, start, h * w, qt.bits, table, buf[: h * w])
-        if meter is not None:
-            meter.record(h * w)
-        yield rs, cs, tile.reshape(h, w)
+    blocks, size = _grid(rows, cols, qt.count // (rows * cols), runs=True)
+    *_, h, w = blocks[0]  # the largest run
+    buf = np.empty(h * w, dtype=np.float64)
+    for rs, cs, start, h, w in blocks:
+        n = h * w
+        # a one-tile run skips the tile loop, whose Python cost of about
+        # 0.5 us a tile made the 64-tile walks of 512^2 and 2048x128 5-7% slower
+        if n <= size:
+            run = unpack_range(qt.payload, start, n, qt.bits, table, buf[:n])
+            if meter is not None:
+                meter.record(n)
+        else:
+            for off in range(0, n, size):
+                count = min(size, n - off)
+                tile = buf[off : off + count]
+                unpack_range(qt.payload, start + off, count, qt.bits, table, tile)
+                if meter is not None:
+                    meter.record(count)
+            run = buf[:n]
+        yield rs, cs, run.reshape(h, w)
 
 
 def _slabs(qt: QuantizedTensor, rows: int, cols: int, meter):
@@ -239,7 +278,8 @@ def _slabs(qt: QuantizedTensor, rows: int, cols: int, meter):
     table = qt.value_table()
     size = rows * cols
     slab = np.empty((qt.count // size, TILE_ELEMENTS), dtype=np.float64)
-    for rs, cs, start, h, w in _grid(rows, cols, 1):
+    blocks, _ = _grid(rows, cols, 1)
+    for rs, cs, start, h, w in blocks:
         count = h * w
         for k, row in enumerate(slab):
             unpack_range(qt.payload, k * size + start, count, qt.bits, table, row[:count])
@@ -278,12 +318,12 @@ def fused_matmul(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
 
     Takes the contraction order with fewer mult-adds (module docstring):
     the sweep, left to right with the full-precision first core applied
-    directly and each packed core through the tiled GEMM, or, for a
-    two-core chain once p * d > i0 * (d + p), the slab rebuild of W. Either
-    matches x @ deco_dequantize(q) within 1e-4 relative Frobenius, and each
-    gather stays within TILE_ELEMENTS values.
+    directly and each packed core through one GEMM per run of tiles, or,
+    for a two-core chain once p * d > i0 * (d + p), the slab rebuild of W.
+    Either matches x @ deco_dequantize(q) within 1e-4 relative Frobenius,
+    and each gather stays within TILE_ELEMENTS values.
     """
-    x = np.asarray(x)
+    x = _check_dtype(x, "operand")
     if x.ndim != 2 or x.shape[1] != q.rows:
         raise ShapeMismatch(f"operand shape {x.shape} does not match rows {q.rows}")
     p = x.shape[0]
@@ -309,9 +349,9 @@ def fused_matmul(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
         d_next = core.shape[3]
         if isinstance(core, QuantizedTensor):
             out = np.zeros((a.shape[0], jk * d_next), dtype=np.float64)
-            for rs, cs, tile in _tiles(core, d * ik, jk * d_next, meter):
+            for rs, cs, run in _tiles(core, d * ik, jk * d_next, meter):
                 acc = out[:, cs]  # out[:, cs] += would copy the slice back
-                acc += a[:, rs] @ tile
+                acc += a[:, rs] @ run
         else:
             out = a @ np.asarray(core, dtype=np.float64).reshape(d * ik, jk * d_next)
         j_acc *= jk
@@ -325,8 +365,8 @@ def _fp_first_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
 
     The full-precision-first order of the module docstring: z[k] = (j1, p *
     i0) is x's contraction with C0 at bond index k. C1 is walked as its d
-    stacked (i1, j1) bond slices, so each tile lies in one slice C1[k] and
-    adds tile @ z[k] into its rows of the (i1, p * i0) accumulator.
+    stacked (i1, j1) bond slices, so each run lies in one slice C1[k] and
+    adds run @ z[k] into its rows of the (i1, p * i0) accumulator.
     """
     first, last = q.local_tensors
     _, i0, j0, d = first.shape
@@ -338,10 +378,10 @@ def _fp_first_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     z = (xv.reshape(j1 * p, j0) @ c0.reshape(j0, d * i0)).reshape(j1, p, d, i0)
     z = np.ascontiguousarray(z.transpose(2, 0, 1, 3)).reshape(d, j1, p * i0)
     acc = np.zeros((i1, p * i0), dtype=np.float64)
-    for rs, cs, tile in _tiles(last, i1, j1, meter):
+    for rs, cs, run in _tiles(last, i1, j1, meter):
         k, a = divmod(rs.start, i1)
-        part = acc[a : a + len(tile)]
-        part += tile @ z[k, cs]
+        part = acc[a : a + len(run)]
+        part += run @ z[k, cs]
     y = acc.reshape(i1, p, i0).transpose(1, 2, 0)
     return y.reshape(p, q.rows).astype(np.float32, order="C")
 
@@ -352,10 +392,11 @@ def fused_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None
     Needed by attention reads (q_row @ K.T). For a two-core chain with C1
     packed, C0 first when it does no more mult-adds and a bond slice of C1
     fills a tile (module docstring), else the right-to-left sweep. Same
-    working-set contract as fused_matmul: dequantized transients never
-    exceed one tile.
+    working-set contract as fused_matmul: each gather is one tile, and the
+    walk's buffer holds one run of at most 64 rows and 8 * TILE_ELEMENTS
+    values (or one tile).
     """
-    x = np.asarray(x)
+    x = _check_dtype(x, "operand")
     if x.ndim != 2 or x.shape[1] != q.cols:
         raise ShapeMismatch(f"operand shape {x.shape} does not match cols {q.cols}")
     p = x.shape[0]
@@ -383,9 +424,9 @@ def fused_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None
         core = q.local_tensors[k]
         if isinstance(core, QuantizedTensor):
             out = np.zeros((d_prev * ik, b.shape[1]), dtype=np.float64)
-            for rs, cs, tile in _tiles(core, d_prev * ik, jk * d_k, meter):
+            for rs, cs, run in _tiles(core, d_prev * ik, jk * d_k, meter):
                 acc = out[rs]
-                acc += tile @ b[cs]
+                acc += run @ b[cs]
         else:
             out = np.asarray(core, dtype=np.float64).reshape(d_prev * ik, jk * d_k) @ b
         # (d_prev, ik, j_lead, i_acc, p) -> (j_lead, d_prev, ik, i_acc, p)

@@ -17,6 +17,10 @@ class UnsupportedBits(DquantError, ValueError):
     """Bit width outside the supported set {2, 4, 8}."""
 
 
+class UnsupportedDtype(DquantError, TypeError):
+    """Array input that is not bool, integer or floating point."""
+
+
 class RangeOverflow(DquantError, ValueError):
     """Integer value outside the symmetric range for the bit width."""
 

@@ -4,7 +4,8 @@ Lifecycle: prefill stores each of K and V as one compressed segment;
 decode appends full-precision rows to a tail buffer, and the moment the
 tail reaches `chunk_len` rows it is compressed into a new immutable
 segment and the tail resets. K, V and query input enters through one
-row rule (_rows), which gives float32 (T, dim) rows or raises DimMismatch:
+row rule (_rows), which gives float32 (T, dim) rows or raises DimMismatch
+(UnsupportedDtype, by quantize's dtype rule, for rows of another kind):
 prefill takes keys of any row count T and values of the keys' T;
 append_token takes one K and one V row, and attention_scores one query
 row, each as (dim,) or (1, dim). Prefilled and appended K and V rows must be
@@ -50,7 +51,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .mpo import MpoChain
-from .quantize import _check_bits, _check_size
+from .quantize import _check_bits, _check_dtype, _check_size
 
 TRACE_COLUMNS = (
     "step",
@@ -99,7 +100,7 @@ class MemoryLedger:
 
 def _rows(x, dim, count=None) -> np.ndarray:
     """The one row rule: x as float32 (T, dim) rows, T = count if given, else DimMismatch."""
-    given = np.asarray(x, dtype=np.float32)
+    given = np.asarray(_check_dtype(x, "rows"), dtype=np.float32)
     rows = given[None] if given.ndim == 1 else given
     if rows.ndim != 2 or rows.shape[1] != dim or count is not None and len(rows) != count:
         want = f"{'T' if count is None else count} x {dim}"

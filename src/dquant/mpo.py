@@ -48,7 +48,7 @@ from math import prod
 import numpy as np
 
 from .errors import BondMismatch, NonFiniteInput, ShapeMismatch, UnsupportedBits
-from .quantize import QuantizedTensor, _check_size
+from .quantize import QuantizedTensor, _check_dtype, _check_size
 
 FACTOR_CAP = 8
 SPLIT_BLOCK = 1 << 19  # float64 values per column block of a split's projection
@@ -252,7 +252,7 @@ def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
     why none is needed). Raises NonFiniteInput on a NaN or infinite entry,
     or on float64 entries so large that the Gram matrix overflows.
     """
-    m = np.asarray(m)
+    m = _check_dtype(m, "matrix")
     if m.ndim != 2 or m.shape != (plan.rows, plan.cols):
         raise ShapeMismatch(
             f"matrix shape {m.shape} does not match plan "

@@ -47,7 +47,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import CorruptPayload, NonFiniteInput, RangeOverflow, ShapeMismatch
-from .errors import UnsupportedBits
+from .errors import UnsupportedBits, UnsupportedDtype
 
 SUPPORTED_BITS = (2, 4, 8)
 QUANT_BLOCK = 1 << 16  # elements quantized per float64 pass
@@ -76,6 +76,19 @@ def _check_size(value, what, least=1) -> int:
     if size is None or size < least:
         raise ShapeMismatch(f"{what} must be an integer >= {least}, got {value!r}")
     return size
+
+
+def _check_dtype(x, what) -> np.ndarray:
+    """The one dtype rule: x as an array if its dtype is bool, int or float.
+
+    Anything else (strings, objects, complex numbers, dates) raises
+    UnsupportedDtype before any work, so no input turns into NaN or loses
+    its imaginary part on the way to a float cast.
+    """
+    array = np.asarray(x)
+    if array.dtype.kind not in "biuf":
+        raise UnsupportedDtype(f"{what} must be bool, int or float, got {array.dtype}")
+    return array
 
 
 def payload_size(count: int, bits: int) -> int:
@@ -251,7 +264,7 @@ def quantize_rtn(t: np.ndarray, bits: int) -> QuantizedTensor:
     reproduces it exactly.
     """
     bits = _check_bits(bits)
-    t = np.asarray(t)
+    t = _check_dtype(t, "tensor")
     # max and min propagate NaN and reach any infinity: no separate pass
     hi, lo = (float(t.max()), float(t.min())) if t.size else (0.0, 0.0)
     if not (math.isfinite(hi) and math.isfinite(lo)):

@@ -1,8 +1,9 @@
 """Every argument rule, at every site that takes the argument.
 
-quantize._check_bits and quantize._check_size are the two rules. Each
-site checks before any work: a bad argument raises a typed DquantError,
-never a raw numpy or Python error, and the CLI maps it to exit 3.
+quantize._check_bits, quantize._check_size and quantize._check_dtype are
+the rules. Each site checks before any work: a bad argument raises a typed
+DquantError, never a raw numpy or Python error or a warning, and the CLI
+maps it to exit 3.
 """
 
 import argparse
@@ -33,6 +34,7 @@ from dquant.errors import (
     RangeOverflow,
     ShapeMismatch,
     UnsupportedBits,
+    UnsupportedDtype,
 )
 from dquant.kvcache import _check_invariants
 
@@ -261,3 +263,64 @@ class TestDecoQuantizeChecksBitsFirst:
                 assert a == b
             else:
                 np.testing.assert_array_equal(a, b)
+
+
+def dtype_sites():
+    """Each array entry point, fed a 16 x 16 array (or its first row)."""
+    q = compress.deco_quantize(synth_activations(16, 16, 2, seed=1), 4)
+    cache = KvCache(CacheConfig(1, 16, 4))
+    cache.prefill(0, *kv(16, 16))
+    return {
+        "factorize": compress.factorize,
+        "decompose": lambda a: mpo.decompose(a, mpo.plan_shapes(16, 16, 2)),
+        "iqr_stats": iqr_stats,
+        "quantize_rtn": lambda a: quantize.quantize_rtn(a, 4),
+        "fused_matmul": lambda a: compress.fused_matmul(a, q),
+        "fused_matmul_t": lambda a: compress.fused_matmul_t(a, q),
+        "prefill": lambda a: KvCache(CacheConfig(1, 16, 4)).prefill(0, a, a),
+        "append_token": lambda a: cache.append_token(0, a[0], a[0]),
+        "attention_scores": lambda a: cache.attention_scores(0, a[0]),
+    }
+
+
+DTYPE_SITES = list(dtype_sites())
+
+
+class TestDtypeRule:
+    """One rule refuses every array that is not bool, int or float."""
+
+    def refused(self, site, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ComplexWarning fails too
+            with pytest.raises(UnsupportedDtype, match=str(bad.dtype)):
+                dtype_sites()[site](bad)
+
+    @pytest.mark.parametrize("site", DTYPE_SITES)
+    def test_strings_are_refused(self, site):
+        self.refused(site, np.full((16, 16), "1.5"))
+
+    @pytest.mark.parametrize("site", DTYPE_SITES)
+    def test_objects_are_refused(self, site):
+        self.refused(site, np.full((16, 16), None, dtype=object))
+
+    @pytest.mark.parametrize("site", DTYPE_SITES)
+    def test_complex_numbers_are_refused(self, site):
+        self.refused(site, np.full((16, 16), 1 + 2j))
+
+    @pytest.mark.parametrize(
+        "dtype", [bool, np.int8, np.uint16, np.float16, np.float64]
+    )
+    def test_bool_int_and_float_are_read_as_float32(self, dtype):
+        a = (np.arange(256).reshape(16, 16) % 3).astype(dtype)
+        as_float = a.astype(np.float32)
+        want = {site: call(as_float) for site, call in dtype_sites().items()}
+        for site, call in dtype_sites().items():
+            got = call(a)
+            assert type(got) is type(want[site]), site
+            pairs = [(got, want[site])]
+            if isinstance(got, mpo.MpoChain):
+                pairs = zip(got.local_tensors, want[site].local_tensors)
+            for g, w in pairs:
+                if isinstance(g, np.ndarray):
+                    g, w = g.tobytes(), w.tobytes()
+                assert g == w, site

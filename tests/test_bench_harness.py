@@ -64,6 +64,34 @@ def test_two_topics_share_one_file(tmp_path, monkeypatch):
     ]
 
 
+def test_passes_keep_the_min_and_the_spread(tmp_path, monkeypatch):
+    out = tmp_path / "BENCH_passes.json"
+    monkeypatch.setenv("BENCH_OUT", str(out))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    path = ROOT / "bench" / "benchlib.py"
+    spec = importlib.util.spec_from_file_location("benchlib", path)
+    benchlib = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(benchlib)
+
+    def run(label, seconds):
+        monkeypatch.setenv("BENCH_LABEL", label)
+        bench = benchlib.BenchFile("unpack")
+        bench.record(timed(seconds), "compress.fused_matmul", (4, 4), bits=4, p=1)
+        bench.write()
+        return json.loads(out.read_text())["runs"]
+
+    for parent, change in [(4.0, 2.0), (5.0, 3.0), (8.0, 2.5)]:
+        run("parent", parent)
+        runs = run("change", change)
+    (case,) = runs["parent"]["cases"]
+    assert [(p["pass"], p["min_s"]) for p in case["passes"]] == [
+        (1, 4.0), (2, 5.0), (3, 8.0)
+    ]
+    assert (case["min_s"], case["least_min_s"], case["spread"]) == (8.0, 4.0, 1.0)
+    (case,) = runs["change"]["cases"]
+    assert (case["min_s"], case["least_min_s"], case["spread"]) == (2.5, 2.0, 0.5)
+
+
 def test_digests_script_prints_one_line_per_case():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(

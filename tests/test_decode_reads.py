@@ -1,12 +1,14 @@
-"""Decode reads: the transposed product's two orders, the cache reads, and
-the typed checks on a layer index and a packed core's scale."""
+"""Decode reads: the transposed product's two orders, the runs of tiles the
+sweeps multiply, the cache reads, and the typed checks on a layer index and
+a packed core's scale."""
 
 import numpy as np
 import pytest
 
 from dquant import CacheConfig, KvCache, QuantizedTensor, WorkingSetMeter
 from dquant import compress, mpo
-from dquant.compress import TILE_ELEMENTS, deco_dequantize, deco_quantize, fused_matmul_t
+from dquant.compress import TILE_ELEMENTS, deco_dequantize, deco_quantize, fused_matmul
+from dquant.compress import fused_matmul_t
 from dquant.errors import CorruptPayload, LayerOutOfRange
 from dquant.quantize import quantize_rtn
 
@@ -85,6 +87,88 @@ class TestTransposedProductOrder:
         calls = spy_fp_first(monkeypatch)
         check_transposed_product(q, 2, 5)
         assert calls == [(2, 8 * 4100)]
+
+
+class GatherLog(WorkingSetMeter):
+    """A meter that also keeps the size of every gather, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.counts = []
+
+    def record(self, n_elements):
+        self.counts.append(n_elements)
+        super().record(n_elements)
+
+
+class TestRunWalk:
+    """With TILE_ELEMENTS = 1024 a run is up to 32 rows. A 64-column tile is
+    16 rows, so two make a run, and a 56-row bond slice ends in a 24-row run,
+    a tile and an 8-row partial tile. The 120 x 72 (n = 3) sweeps read the
+    middle core as one 40 x 216 matrix in 4-row tiles: a 32-row run, then an
+    8-row run cut short at the matrix's end."""
+
+    TILE = 1024
+
+    def chains(self):
+        c1 = quantize_rtn(rand((3, 56, 64, 1), 4), 4)
+        yield mpo.MpoChain((rand((1, 2, 4, 3), 3), c1))
+        yield deco_quantize(rand((120, 72), 6), 4, n=3)
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_runs_gather_each_tile_once_inside_one_slice(self, monkeypatch, bits):
+        monkeypatch.setattr(compress, "TILE_ELEMENTS", self.TILE)
+        last = quantize_rtn(rand((3, 56, 64, 1), bits), bits)
+        want = last.codes().reshape(168, 64).astype(np.float64) * np.float64(last.scale)
+        meter = GatherLog()
+        walk = compress._tiles(last, 56, 64, meter)
+        blocks = [(rs, cs, block.copy()) for rs, cs, block in walk]
+        assert [(rs.start % 56, rs.stop - rs.start) for rs, _, _ in blocks] == [
+            (0, 32), (32, 24)
+        ] * 3
+        seen = np.zeros((168, 64), dtype=int)
+        for rs, cs, block in blocks:
+            assert rs.start // 56 == (rs.stop - 1) // 56  # inside one slice
+            assert block.tobytes() == want[rs, cs].tobytes()
+            seen[rs, cs] += 1
+        assert (seen == 1).all()
+        assert meter.counts == [1024, 1024, 1024, 512] * 3  # one gather per tile
+        assert meter.peak_elements <= compress.TILE_ELEMENTS
+        assert meter.total_unpacked == last.count
+
+    @pytest.mark.parametrize("cols,heights", [(512, [16, 16, 8]), (1024, [8] * 5)])
+    def test_wide_rows_stop_a_run_at_eight_tiles_of_values(self, monkeypatch, cols, heights):
+        # 2-row and 1-row tiles: 8 * TILE_ELEMENTS values stop the run
+        # before 32 rows do, and a 40-row slice ends in a shorter run
+        monkeypatch.setattr(compress, "TILE_ELEMENTS", self.TILE)
+        last = quantize_rtn(rand((3, 40, cols, 1), 4), 4)
+        want = last.codes().reshape(120, cols).astype(np.float64)
+        want *= np.float64(last.scale)
+        meter = GatherLog()
+        seen = []
+        for rs, cs, block in compress._tiles(last, 40, cols, meter):
+            assert block.size <= 8 * self.TILE
+            assert block.tobytes() == want[rs, cs].tobytes()
+            seen.append(rs.stop - rs.start)
+        assert seen == heights * 3
+        assert meter.counts == [self.TILE] * (120 * cols // self.TILE)
+        assert meter.total_unpacked == last.count
+
+    @pytest.mark.parametrize("p", [1, 3, 64])
+    def test_products_over_runs_match_the_float64_product(self, monkeypatch, p):
+        monkeypatch.setattr(compress, "TILE_ELEMENTS", self.TILE)
+        for q in self.chains():
+            full = deco_dequantize(q).astype(np.float64)
+            packed = sum(t.count for t in q.quantized_locals)
+            for product, x, want in (
+                (fused_matmul, rand((p, q.rows), 4), lambda x: x @ full),
+                (fused_matmul_t, rand((p, q.cols), 5), lambda x: x @ full.T),
+            ):
+                meter = WorkingSetMeter()
+                got = product(x, q, meter)
+                assert rel_err(want(x.astype(np.float64)), got) < 1e-4
+                assert meter.peak_elements <= compress.TILE_ELEMENTS
+                assert meter.total_unpacked == packed
 
 
 class TestCacheReads:
