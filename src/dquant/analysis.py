@@ -10,6 +10,7 @@ measures what the library stores; deco-both packs every core of that chain.
 
 import csv
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -135,8 +136,8 @@ def synth_activations(
     _check_size(seed, "seed", 0)
     if _check_size(outlier_cols, "outlier_cols", 0) > cols:
         raise ShapeMismatch("outlier_cols cannot exceed cols")
-    if not outlier_scale >= 1:  # NaN too
-        raise ShapeMismatch("outlier_scale must be >= 1")
+    if not (isinstance(outlier_scale, Real) and 1 <= outlier_scale < np.inf):  # NaN too
+        raise ShapeMismatch(f"outlier_scale must be finite and >= 1, got {outlier_scale!r}")
     rng = np.random.default_rng(seed)
     pairs = _pattern_pairs(rows, cols, SYNTH_TERMS)
     weights = SYNTH_DECAY ** np.arange(len(pairs))

@@ -2,11 +2,12 @@
 
 Exit codes: 0 success; 2 malformed input or usage error (MalformedFile,
 or any OSError, such as a missing input or an --out / --csv in a missing
-directory); 3 invalid parameters (any other DquantError); 4 unknown
-subcommand or experiment. Handlers report a failure only by raising, and
-`main` alone maps it to its code, reported as one `error:` line on
-stderr; a handler checks its parameters with the library's own rules
-(quantize._check_bits, quantize._check_size) before it reads a file.
+directory); 3 invalid parameters (any other DquantError, or a MemoryError
+from sizes too large to allocate); 4 unknown subcommand or experiment.
+Handlers report a failure only by raising, and `main` alone maps it to
+its code, reported as one `error:` line on stderr; a handler checks its
+parameters with the library's own rules (quantize._check_bits,
+quantize._check_size) before it reads a file.
 Machine-readable summaries go to stdout as single JSON lines;
 human-readable tables go to stderr under --verbose.
 """
@@ -242,6 +243,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_MALFORMED, str(exc))
     except DquantError as exc:
         return _fail(EXIT_BAD_PARAMS, str(exc))
+    except MemoryError as exc:
+        return _fail(EXIT_BAD_PARAMS, f"out of memory: {exc}")
 
 
 def entry():

@@ -172,7 +172,8 @@ def _regauge(cores):
 
 def factorize(m: np.ndarray, n: int = 2) -> mpo.MpoChain:
     """The planned and regauged chain that deco_quantize packs (float32)."""
-    m = np.asarray(_check_dtype(m, "matrix"), dtype=np.float32)
+    with np.errstate(over="ignore"):  # mpo's Gram check refuses what overflows
+        m = np.asarray(_check_dtype(m, "matrix"), dtype=np.float32)
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got shape {m.shape}")
     chain = mpo.decompose(m, _plan(m.shape[0], m.shape[1], n))

@@ -4,22 +4,23 @@ Lifecycle: prefill stores each of K and V as one compressed segment;
 decode appends full-precision rows to a tail buffer, and the moment the
 tail reaches `chunk_len` rows it is compressed into a new immutable
 segment and the tail resets. K, V and query input enters through one
-row rule (_rows), which gives float32 (T, dim) rows or raises DimMismatch
-(UnsupportedDtype, by quantize's dtype rule, for rows of another kind):
-prefill takes keys of any row count T and values of the keys' T;
-append_token takes one K and one V row, and attention_scores one query
-row, each as (dim,) or (1, dim). Prefilled and appended K and V rows must be
-finite, in both modes: one check (_check_finite) raises NonFiniteInput
-for a NaN or infinity before anything is written, so the cache is left
-as it was.
+row rule (_rows): finite float32 (T, dim) rows, else DimMismatch for a
+wrong shape (UnsupportedDtype, by quantize's dtype rule, for rows of
+another kind), then NonFiniteInput for a NaN, an infinity or a float64
+entry beyond the float32 range. prefill takes keys of any row count T
+and values of the keys' T; append_token takes one K and one V row, and
+attention_scores one query row, each as (dim,) or (1, dim). In both
+modes every row is checked before anything is written or charged, so a
+refused call leaves the cache and its ledger as they were.
 
-Every read walks the same parts, the segments and then the live tail as
-one more dense part. One byte rule counts them, for read traffic and for
-the ledger alike: a side's stored bytes are the bytes of its segments,
-each fixed once when the segment is sealed, plus 2 * tail_len * dim.
-attention_scores streams quantized segments through the fused multiply,
-so it makes no full-precision copy of a segment; read_keys and
-read_values rebuild each segment in full with deco_dequantize.
+Every read is one walk (_read) over the same parts, the segments and
+then the live tail as one more dense part, charging the side's stored
+bytes once by one byte rule, the ledger's too: a side's stored bytes are
+the bytes of its segments, each fixed once when the segment is sealed,
+plus 2 * tail_len * dim. attention_scores streams quantized segments
+through the fused multiply, so it makes no full-precision copy of a
+segment; read_keys and read_values rebuild each segment in full with
+deco_dequantize.
 
 In full-precision mode (bits=None) each segment is a float32 copy of its
 rows, never a view of the tail buffer or of the caller's prefill arrays,
@@ -99,19 +100,17 @@ class MemoryLedger:
 
 
 def _rows(x, dim, count=None) -> np.ndarray:
-    """The one row rule: x as float32 (T, dim) rows, T = count if given, else DimMismatch."""
-    given = np.asarray(_check_dtype(x, "rows"), dtype=np.float32)
+    """The one row rule: x as float32 (T, dim) rows, T = count if given, else
+    DimMismatch; then NonFiniteInput unless every entry is finite in float32."""
+    with np.errstate(over="ignore"):
+        given = np.asarray(_check_dtype(x, "rows"), dtype=np.float32)
     rows = given[None] if given.ndim == 1 else given
     if rows.ndim != 2 or rows.shape[1] != dim or count is not None and len(rows) != count:
         want = f"{'T' if count is None else count} x {dim}"
         raise DimMismatch(f"rows must be {want}, got shape {given.shape}")
+    if not np.isfinite(rows).all():
+        raise NonFiniteInput("rows must be finite in float32")
     return rows
-
-
-def _check_finite(keys, values):
-    """NonFiniteInput unless every K and V entry is finite."""
-    if not (np.isfinite(keys).all() and np.isfinite(values).all()):
-        raise NonFiniteInput("key and value rows must be finite")
 
 
 def _stored_side(lc, segment_bytes) -> int:
@@ -160,14 +159,11 @@ class LayerCache:
             raise AlreadyPrefilled("layer already holds tokens")
         keys = _rows(keys, self.config.dim)
         values = _rows(values, self.config.dim, len(keys))
-        if not len(keys):
-            return
-        _check_finite(keys, values)
-        self._seal(keys, values)
+        if len(keys):
+            self._seal(keys, values)
 
     def append(self, k_row: np.ndarray, v_row: np.ndarray):
         k_row, v_row = (_rows(r, self.config.dim, 1) for r in (k_row, v_row))
-        _check_finite(k_row, v_row)
         self.key_tail[self.tail_len] = k_row[0]
         self.value_tail[self.tail_len] = v_row[0]
         self.tail_len += 1
@@ -206,34 +202,37 @@ class KvCache:
     def append_token(self, layer: int, k_row, v_row):
         self._layer(layer).append(k_row, v_row)
 
-    def _read(self, lc: LayerCache, parts: list, segment_bytes: list) -> np.ndarray:
+    def _read(self, lc, parts, segment_bytes, packed, dense, axis=0) -> np.ndarray:
+        """The one read walk: charge the side's stored bytes once, then join its
+        parts along `axis`, each MpoChain read by `packed` and any other by `dense`."""
         self.bytes_moved_read += _stored_side(lc, segment_bytes)
         return np.concatenate(
-            [deco_dequantize(p) if isinstance(p, MpoChain) else p for p in parts],
-            axis=0,
+            [packed(p) if isinstance(p, MpoChain) else dense(p) for p in parts], axis=axis
         )
 
     def read_keys(self, layer: int) -> np.ndarray:
         lc = self._layer(layer)
-        return self._read(lc, lc.key_parts(), lc.key_segment_bytes)
+        return self._read(
+            lc, lc.key_parts(), lc.key_segment_bytes, deco_dequantize, np.asarray
+        )
 
     def read_values(self, layer: int) -> np.ndarray:
         lc = self._layer(layer)
-        return self._read(lc, lc.value_parts(), lc.value_segment_bytes)
+        return self._read(
+            lc, lc.value_parts(), lc.value_segment_bytes, deco_dequantize, np.asarray
+        )
 
     def attention_scores(self, layer: int, q_row: np.ndarray) -> np.ndarray:
         """q @ K^T / sqrt(D), streaming quantized segments (1 x T)."""
         lc = self._layer(layer)
         q_row = _rows(q_row, self.config.dim, 1)
-        self.bytes_moved_read += _stored_side(lc, lc.key_segment_bytes)
         q64 = q_row.astype(np.float64)
-        scores = np.concatenate(
-            [
-                fused_matmul_t(q_row, p)
-                if isinstance(p, MpoChain)
-                else (q64 @ p.astype(np.float64).T).astype(np.float32)
-                for p in lc.key_parts()
-            ],
+        scores = self._read(
+            lc,
+            lc.key_parts(),
+            lc.key_segment_bytes,
+            lambda p: fused_matmul_t(q_row, p),
+            lambda p: (q64 @ p.astype(np.float64).T).astype(np.float32),
             axis=1,
         )
         return scores / np.float32(np.sqrt(self.config.dim))

@@ -230,6 +230,8 @@ class TestSynthActivations:
             (dict(rows=16, cols=8, seed=-1), "seed"),
             (dict(rows=16, cols=8, seed=0.5), "seed"),
             (dict(rows=16, cols=8, outlier_scale=np.nan), "outlier_scale"),
+            (dict(rows=16, cols=8, outlier_scale=np.inf), "outlier_scale"),
+            (dict(rows=16, cols=8, outlier_scale="x"), "outlier_scale"),
         ],
     )
     def test_bad_argument_raises_shape_mismatch(self, args, word):
@@ -240,6 +242,17 @@ class TestSynthActivations:
         want = synth_activations(16, 8, 2, 20.0, seed=5)
         got = synth_activations(np.int64(16), np.int32(8), np.int8(2), 20.0, seed=np.int64(5))
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [compress.factorize, lambda m: compress.deco_quantize(m, 4)],
+    ids=["factorize", "deco_quantize"],
+)
+def test_float64_beyond_float32_range_is_refused_without_a_warning(call):
+    with pytest.raises(NonFiniteInput):
+        call(np.full((4, 4), 1e39))
 
 
 class TestDecoQuantizeChecksBitsFirst:

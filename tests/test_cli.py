@@ -326,6 +326,22 @@ def test_kv_sim_negative_length(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_kv_sim_too_large_to_allocate(tmp_path, capsys):
+    # the tail buffers ask for hundreds of TiB, so the allocation fails at once
+    csv_path = tmp_path / "t.csv"
+    code, out, err = run(
+        capsys,
+        "kv-sim",
+        "--layers", "1", "--dim", "128", "--prompt-len", "1", "--gen-len", "1",
+        "--chunk", "1000000000000", "--csv", str(csv_path),
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not csv_path.exists()
+
+
 def test_import_raw(tmp_path, capsys):
     raw = tmp_path / "dump.bin"
     data = np.arange(12, dtype="<f4")

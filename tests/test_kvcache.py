@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,53 @@ class TestNonFiniteRows:
         assert not lc.key_segment_bytes and not lc.value_segment_bytes
         cache.prefill(0, k, v)
         _check_invariants(cache, 6)
+
+
+class TestRowRuleFiniteness:
+    """_rows refuses any row not finite in float32, queries included."""
+
+    @pytest.mark.parametrize("bits", [4, None])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    def test_non_finite_query_is_refused_and_charges_nothing(self, bits, bad):
+        cache = KvCache(CacheConfig(layers=1, dim=8, bits=bits, chunk_len=4))
+        cache.prefill(0, *kv(6, 8, 1))
+        for k_row, v_row in zip(*kv(2, 8, 2)):
+            cache.append_token(0, k_row, v_row)
+        lc = cache.layers[0]
+        q = kv(1, 8, 3)[0][0].astype(np.float64)
+        want_scores = cache.attention_scores(0, q)
+        ledger = cache.ledger()
+        segments = (list(lc.key_segments), list(lc.value_segments))
+        segment_bytes = (list(lc.key_segment_bytes), list(lc.value_segment_bytes))
+        tails = (lc.key_tail.copy(), lc.value_tail.copy(), lc.tail_len)
+        q_bad = q.copy()
+        q_bad[5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput):
+                cache.attention_scores(0, q_bad)
+        assert cache.ledger() == ledger  # bytes_moved_read included
+        got = (lc.key_segments, lc.value_segments)
+        assert all(a is b for s, t in zip(got, segments) for a, b in zip(s, t))
+        assert [len(s) for s in got] == [len(s) for s in segments]
+        assert (lc.key_segment_bytes, lc.value_segment_bytes) == segment_bytes
+        np.testing.assert_array_equal(lc.key_tail, tails[0])
+        np.testing.assert_array_equal(lc.value_tail, tails[1])
+        assert lc.tail_len == tails[2]
+        assert cache.attention_scores(0, q).tobytes() == want_scores.tobytes()
+
+    @pytest.mark.parametrize("bits", [4, None])
+    @pytest.mark.parametrize("side", ["key", "value"])
+    def test_row_beyond_float32_range_is_refused_without_a_warning(self, bits, side):
+        cache = KvCache(CacheConfig(layers=1, dim=8, bits=bits, chunk_len=4))
+        k, v = (r.astype(np.float64) for r in kv(1, 8, 4))
+        (k if side == "key" else v)[0, 3] = 1e39
+        ledger = cache.ledger()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput):
+                cache.append_token(0, k[0], v[0])
+        assert cache.layers[0].tokens == 0 and cache.ledger() == ledger
 
 
 class TestAccounting:
