@@ -33,8 +33,11 @@ A tile is dequantized by one gather: unpack_range looks each payload byte
 up in the core's value_table() (code * scale in float64, built once per
 walk), so no code array is made and no per-tile scaling pass runs. The
 rebuild decodes through the same table (see the quantize docstring), so
-deco_dequantize holds exactly the values fused_matmul multiplies. A walk
-gathers its tiles into one buffer (a slab walk, one slab) made per walk.
+deco_dequantize is made from exactly the values the sweeps multiply; the
+slab order multiplies them cast to float32, dequantize's values f32(code *
+scale), each times one power of two. A walk gathers its tiles into one
+buffer (a slab walk, one slab) made per walk. The grid of a walk's tiles
+and runs is built once per geometry and tile size and shared.
 
 A sweep multiplies a run of tiles at a time. Where a tile is fewer than
 isqrt(TILE_ELEMENTS) = 64 whole rows, the walk gathers consecutive tiles
@@ -68,10 +71,27 @@ fused_matmul has two contraction orders for x (p rows) @ W:
 
 The sweep is taken unless the slab does fewer mult-adds, p * d > i0 * (d +
 p): at i0 = 8, d = 64 (2048^2 and 4096^2) from p = 10 on, so p = 1 always
-sweeps. A slab step holds the slab, made once per call, and its block of W
-and that block's product with x, both made at each step: d * TILE_ELEMENTS
-values each for the slab and the block at full rank (d = i0 * j0), 1/16 of
-W at 2048^2, 1/64 at 4096^2, all of W only when W is that small (512^2).
+sweeps. A slab step holds the float64 slab and its float32 copy, both made
+once per call, and its block of W and that block's product with x, both
+made at each step: d * TILE_ELEMENTS values each for the slab and the block
+at full rank (d = i0 * j0), 1/16 of W at 2048^2, 1/64 at 4096^2, all of W
+only when W is that small (512^2).
+
+The slab order multiplies in float32, as a dequantizing kernel does at its
+own precision: its two GEMMs, C0 @ slab and x @ block, do |W| * (d + p)
+mult-adds, and sgemm runs about twice as fast as dgemm (1024^2, one BLAS
+thread, AVX-512 x86_64: 100-153 against 53-65 GF/s). Each operand is first
+scaled by an exact power of two that takes it below 1 in magnitude, x by
+max |x|, C0 by max |C0| and the slab by qmax * scale, which bounds |code *
+scale|, then cast: the cast rounds each value once and cannot overflow, and
+no block or product can, though x, W or code * scale lie past float32's
+range (3.4e38). y accumulates in float32; the scaling is undone once, in
+float64, before its cast to the float32 product. The error against the
+float64 product is 2e-7 to 4e-7 at 256x128 to 2400x128 (contract 1e-4), and
+2048^2, p = 64 takes 16-18 ms where the float64 slab took 25-28. The sweeps
+stay float64. Where they pay, at p = 1, a float32 sweep probed 10-20%
+faster at 4096^2 and mixed at 2048^2, for an error ten times the float64
+one and tiles that no longer hold code * scale.
 
 fused_matmul_t has two contraction orders for x (p rows) @ W.T:
 
@@ -99,7 +119,8 @@ once.
 """
 
 from dataclasses import dataclass
-from math import isqrt, prod
+from functools import lru_cache
+from math import frexp, isqrt, prod
 
 import numpy as np
 
@@ -203,23 +224,24 @@ def deco_dequantize(q: mpo.MpoChain) -> np.ndarray:
     return mpo.reconstruct(q)
 
 
-def _grid(rows: int, cols: int, stack: int, runs: bool = False):
+@lru_cache(maxsize=64)
+def _grid(rows: int, cols: int, stack: int, runs: bool, tile: int):
     """The blocks of `stack` stacked (rows, cols) matrices, and a tile's values.
 
-    A tile is whole rows of one matrix while a row fits in TILE_ELEMENTS,
-    else a TILE_ELEMENTS-wide piece of one row. A block is one tile or,
-    with `runs`, a run: as many consecutive whole-row tiles as fit in
-    isqrt(TILE_ELEMENTS) = 64 rows and 8 * TILE_ELEMENTS values, at least
+    A tile is whole rows of one matrix while a row fits in `tile` values
+    (the walks pass TILE_ELEMENTS), else a `tile`-wide piece of one row. A
+    block is one tile or, with `runs`, a run: as many consecutive whole-row
+    tiles as fit in isqrt(tile) rows (64) and 8 * tile values, at least
     one, cut short at a matrix's end. Blocks are listed in payload order
     as (rs, cs, start, h, w): rs indexes the stacked rows, no block crosses
     from one matrix to the next, and the block is the contiguous range of
-    h * w values at `start`. The first block is the largest. A list, made
-    once per walk.
+    h * w values at `start`. The first block is the largest. A tuple, made
+    once per geometry and shared by every walk of it.
     """
-    height, width = max(1, TILE_ELEMENTS // cols), min(cols, TILE_ELEMENTS)
+    height, width = max(1, tile // cols), min(cols, tile)
     size = height * width
     if runs and width == cols:
-        cap = min(isqrt(TILE_ELEMENTS), 8 * TILE_ELEMENTS // cols)
+        cap = min(isqrt(tile), 8 * tile // cols)
         height *= max(1, cap // height)
     pieces = [slice(c0, min(cols, c0 + width)) for c0 in range(0, cols, width)]
     row_blocks = [
@@ -227,11 +249,11 @@ def _grid(rows: int, cols: int, stack: int, runs: bool = False):
         for top in range(0, stack * rows, rows)
         for r0 in range(top, top + rows, height)
     ]
-    blocks = [
+    blocks = tuple(
         (rs, cs, rs.start * cols + cs.start, rs.stop - rs.start, cs.stop - cs.start)
         for rs in row_blocks
         for cs in pieces
-    ]
+    )
     return blocks, size
 
 
@@ -245,7 +267,7 @@ def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter):
     next is drawn.
     """
     table = qt.value_table()
-    blocks, size = _grid(rows, cols, qt.count // (rows * cols), runs=True)
+    blocks, size = _grid(rows, cols, qt.count // (rows * cols), True, TILE_ELEMENTS)
     *_, h, w = blocks[0]  # the largest run
     buf = np.empty(h * w, dtype=np.float64)
     for rs, cs, start, h, w in blocks:
@@ -279,7 +301,7 @@ def _slabs(qt: QuantizedTensor, rows: int, cols: int, meter):
     table = qt.value_table()
     size = rows * cols
     slab = np.empty((qt.count // size, TILE_ELEMENTS), dtype=np.float64)
-    blocks, _ = _grid(rows, cols, 1)
+    blocks, _ = _grid(rows, cols, 1, False, TILE_ELEMENTS)
     for rs, cs, start, h, w in blocks:
         count = h * w
         for k, row in enumerate(slab):
@@ -289,40 +311,59 @@ def _slabs(qt: QuantizedTensor, rows: int, cols: int, meter):
         yield rs, cs, slab[:, :count]
 
 
+def _exponent(amax: float) -> int:
+    """The e with amax < 2**e (0 for 0): 2**-e takes amax below 1, exactly."""
+    return max(frexp(amax)[1], -1022)  # -1022: 2.0**-e stays finite
+
+
 def _slab_matmul(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     """x @ W for a chain [C0, C1] with C1 packed, one slab of W at a time.
 
     The slab order of the module docstring: _slabs walks C1 as its d
     stacked (i1, j1) matrices, and at each position C0 @ slab is a fresh
-    block of W, whose product with x's matching columns adds into y.
+    block of W, whose product with x's matching columns adds into y. Both
+    GEMMs and y are float32: x, C0 and each float64 slab are cast after
+    their scaling by a power of two that takes them below 1 in magnitude,
+    and the scaling is undone once, in float64, before the last cast.
     """
     first, last = q.local_tensors
     _, i0, j0, d = first.shape
     _, i1, j1, _ = last.shape
     p = x.shape[0]
-    xv = np.asarray(x, dtype=np.float64).reshape(p, i0, i1)
+    if x.dtype.kind != "f":
+        x = x.astype(np.float64)
+    ex = _exponent(float(np.abs(x).max(initial=0)))
+    xv = np.multiply(x, 2.0**-ex, dtype=np.float64).astype(np.float32)
+    xv = xv.reshape(p, i0, i1)
     # rows in (j0, i0) order, so C0 @ slab is j0 stacked (i0 * h, w) blocks
-    c0 = np.asarray(first, dtype=np.float64).reshape(i0, j0, d)
-    c0 = np.ascontiguousarray(c0.transpose(1, 0, 2)).reshape(j0 * i0, d)
+    c0 = np.ascontiguousarray(first.reshape(i0, j0, d).transpose(1, 0, 2))
+    ec = _exponent(float(np.abs(c0).max(initial=0)))
+    c0 = np.ldexp(c0.reshape(j0 * i0, d), -ec)
+    # |code * scale| <= qmax * scale < 2**(exponent of scale + bits - 1)
+    es = _exponent(last.scale) + last.bits - 1
+    slab32 = np.empty((d, TILE_ELEMENTS), dtype=np.float32)
     # y in the (j0, p, j1) order of the products, so each adds in place
-    y = np.zeros((j0, p, j1), dtype=np.float64)
+    y = np.zeros((j0, p, j1), dtype=np.float32)
     for rs, cs, slab in _slabs(last, i1, j1, meter):
         h, w = rs.stop - rs.start, cs.stop - cs.start
-        w_slab = (c0 @ slab).reshape(j0, i0 * h, w)
+        s32 = np.multiply(slab, 2.0**-es, out=slab32[:, : h * w])
+        w_slab = (c0 @ s32).reshape(j0, i0 * h, w)
         acc = y[:, :, cs]  # y[:, :, cs] += would copy the slice back
         acc += np.matmul(xv[:, :, rs].reshape(p, i0 * h), w_slab)
-    return y.transpose(1, 0, 2).astype(np.float32, order="C").reshape(p, q.cols)
+    y = np.ldexp(y.transpose(1, 0, 2), ex + ec + es, dtype=np.float64)
+    return y.astype(np.float32, order="C").reshape(p, q.cols)
 
 
 def fused_matmul(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
     """x @ W for the compressed matrix W, streaming the packed cores.
 
     Takes the contraction order with fewer mult-adds (module docstring):
-    the sweep, left to right with the full-precision first core applied
-    directly and each packed core through one GEMM per run of tiles, or,
-    for a two-core chain once p * d > i0 * (d + p), the slab rebuild of W.
-    Either matches x @ deco_dequantize(q) within 1e-4 relative Frobenius,
-    and each gather stays within TILE_ELEMENTS values.
+    the sweep, left to right in float64 with the full-precision first core
+    applied directly and each packed core through one GEMM per run of
+    tiles, or, for a two-core chain once p * d > i0 * (d + p), the slab
+    rebuild of W, whose GEMMs run in float32 on operands scaled by powers
+    of two. Either matches x @ deco_dequantize(q) within 1e-4 relative
+    Frobenius, and each gather stays within TILE_ELEMENTS values.
     """
     x = _check_dtype(x, "operand")
     if x.ndim != 2 or x.shape[1] != q.rows:

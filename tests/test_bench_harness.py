@@ -21,7 +21,7 @@ def test_harnesses_run_with_benchmarks_disabled(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "11 passed" in proc.stdout
+    assert "28 passed" in proc.stdout
     assert not out.exists()
 
 

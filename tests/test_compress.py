@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -356,6 +357,40 @@ class TestFusedMatmul:
             fused_matmul(rand((2, 8)), q)
         with pytest.raises(ShapeMismatch):
             fused_matmul_t(rand((2, 8)), q)
+
+
+class TestFloat32Slab:
+    """The slab order multiplies in float32 after scaling x, C0 and each slab
+    by powers of two, so operands beyond float32's range still give a finite
+    product within 1e-4 of the float64 one, and no warning."""
+
+    def check(self, monkeypatch, x, q):
+        slabs = spy_slab_matmul(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fused_matmul(x, q)
+            want = np.asarray(x, np.float64) @ deco_dequantize(q).astype(np.float64)
+        assert slabs == [64]
+        assert got.dtype == np.float32 and np.isfinite(got).all()
+        assert rel_err(want, got) < 1e-4
+
+    def test_operand_beyond_float32(self, monkeypatch):
+        q = deco_quantize(rand((512, 512), 21) * np.float32(1e-12), 4)
+        x = rand((64, 512), 22).astype(np.float64) * 1e39
+        self.check(monkeypatch, x, q)
+
+    def test_matrix_near_the_float32_maximum(self, monkeypatch):
+        q = deco_quantize(rand((512, 512), 23) * np.float32(3e37), 4)
+        self.check(monkeypatch, rand((64, 512), 24) * np.float32(1e-3), q)
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_packed_scale_beyond_float32(self, monkeypatch, bits):
+        # every value code * scale but 0 lies past float32's maximum, and
+        # the small first core brings W back to about 1e10
+        packed = deco_quantize(rand((512, 512), 25), bits).local_tensors[1]
+        huge = QuantizedTensor(packed.shape, bits, 1e40, packed.payload)
+        q = compress.QuantizedMpo((rand((1, 8, 8, 64), 26) * np.float32(1e-30), huge))
+        self.check(monkeypatch, rand((64, 512), 27), q)
 
 
 class TestCompressionReport:

@@ -136,6 +136,22 @@ class TestRunWalk:
         assert meter.peak_elements <= compress.TILE_ELEMENTS
         assert meter.total_unpacked == last.count
 
+    def test_grid_follows_the_tile_size(self, monkeypatch):
+        # one grid per geometry and tile size: a walk at the default size
+        # leaves no grid that a walk at 1024 values would reuse
+        last = quantize_rtn(rand((3, 56, 64, 1), 4), 4)
+
+        def heights():
+            walk = compress._tiles(last, 56, 64, None)
+            return [rs.stop - rs.start for rs, _, _ in walk]
+
+        assert heights() == [56] * 3
+        monkeypatch.setattr(compress, "TILE_ELEMENTS", self.TILE)
+        assert heights() == [32, 24] * 3
+        blocks, size = compress._grid(56, 64, 3, True, self.TILE)
+        assert size == self.TILE and isinstance(blocks, tuple)
+        assert compress._grid(56, 64, 3, True, self.TILE)[0] is blocks  # shared
+
     @pytest.mark.parametrize("cols,heights", [(512, [16, 16, 8]), (1024, [8] * 5)])
     def test_wide_rows_stop_a_run_at_eight_tiles_of_values(self, monkeypatch, cols, heights):
         # 2-row and 1-row tiles: 8 * TILE_ELEMENTS values stop the run
