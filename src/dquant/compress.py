@@ -34,10 +34,11 @@ up in the core's value_table() (code * scale in float64, built once per
 walk), so no code array is made and no per-tile scaling pass runs. The
 rebuild decodes through the same table (see the quantize docstring), so
 deco_dequantize is made from exactly the values the sweeps multiply; the
-slab order multiplies them cast to float32, dequantize's values f32(code *
-scale), each times one power of two. A walk gathers its tiles into one
-buffer (a slab walk, one slab) made per walk. The grid of a walk's tiles
-and runs is built once per geometry and tile size and shared.
+slab order gathers through that table times one power of two, cast once to
+float32, so it multiplies dequantize's values f32(code * scale), each
+times that power of two. A walk gathers its tiles into one buffer (a slab
+walk, one float32 slab) made per walk. The grid of a walk's tiles and runs
+is built once per geometry and tile size and shared.
 
 A sweep multiplies a run of tiles at a time. Where a tile is fewer than
 isqrt(TILE_ELEMENTS) = 64 whole rows, the walk gathers consecutive tiles
@@ -71,10 +72,10 @@ fused_matmul has two contraction orders for x (p rows) @ W:
 
 The sweep is taken unless the slab does fewer mult-adds, p * d > i0 * (d +
 p): at i0 = 8, d = 64 (2048^2 and 4096^2) from p = 10 on, so p = 1 always
-sweeps. A slab step holds the float64 slab and its float32 copy, both made
-once per call, and its block of W and that block's product with x, both
-made at each step: d * TILE_ELEMENTS values each for the slab and the block
-at full rank (d = i0 * j0), 1/16 of W at 2048^2, 1/64 at 4096^2, all of W
+sweeps. A slab step holds the float32 slab, made once per call (1 MiB at d
+= 64), and its block of W and that block's product with x, both made at
+each step: d * TILE_ELEMENTS values each for the slab and the block at
+full rank (d = i0 * j0), 1/16 of W at 2048^2, 1/64 at 4096^2, all of W
 only when W is that small (512^2).
 
 The slab order multiplies in float32, as a dequantizing kernel does at its
@@ -85,13 +86,16 @@ scaled by an exact power of two that takes it below 1 in magnitude, x by
 max |x|, C0 by max |C0| and the slab by qmax * scale, which bounds |code *
 scale|, then cast: the cast rounds each value once and cannot overflow, and
 no block or product can, though x, W or code * scale lie past float32's
-range (3.4e38). y accumulates in float32; the scaling is undone once, in
-float64, before its cast to the float32 product. The error against the
-float64 product is 2e-7 to 4e-7 at 256x128 to 2400x128 (contract 1e-4), and
-2048^2, p = 64 takes 16-18 ms where the float64 slab took 25-28. The sweeps
-stay float64. Where they pay, at p = 1, a float32 sweep probed 10-20%
-faster at 4096^2 and mixed at 2048^2, for an error ten times the float64
-one and tiles that no longer hold code * scale.
+range (3.4e38). The slab's scaling and cast are made once, on the 256
+rows of value_table(), and each tile is gathered through that float32
+table straight into the slab: no float64 slab, no pass over it. y
+accumulates in float32; the scaling is undone once, in float64, before its
+cast to the float32 product. The error against the float64 product is 2e-7
+to 4e-7 at 256x128 to 2400x128 (contract 1e-4), and 2048^2, p = 64 takes
+12-16 ms (five passes, BLAS at one thread) where the float64 slab took
+25-28. The sweeps stay float64. Where they pay, at p = 1, a float32 sweep
+probed 10-20% faster at 4096^2 and mixed at 2048^2, for an error ten times
+the float64 one and tiles that no longer hold code * scale.
 
 fused_matmul_t has two contraction orders for x (p rows) @ W.T:
 
@@ -289,18 +293,17 @@ def _tiles(qt: QuantizedTensor, rows: int, cols: int, meter):
         yield rs, cs, run.reshape(h, w)
 
 
-def _slabs(qt: QuantizedTensor, rows: int, cols: int, meter):
+def _slabs(qt: QuantizedTensor, rows: int, cols: int, table: np.ndarray, meter):
     """Yield (row slice, column slice, (d, h * w) slab) over d stacked (rows, cols) M.
 
     The packed core is read as d = count / (rows * cols) row-major matrices,
     one after another, that share the _grid of one matrix. At each of its
-    tiles, row k of one slab, made per walk, gets matrix k's tile by one
-    unpack_range through the core's table, so a slab is valid only until
-    the next is drawn.
+    tiles, row k of one slab, made per walk in table.dtype, gets matrix k's
+    tile by one unpack_range through `table` (a (256, 8 // bits) table in
+    CODE_TABLES lane order), so a slab is valid only until the next is drawn.
     """
-    table = qt.value_table()
     size = rows * cols
-    slab = np.empty((qt.count // size, TILE_ELEMENTS), dtype=np.float64)
+    slab = np.empty((qt.count // size, TILE_ELEMENTS), dtype=table.dtype)
     blocks, _ = _grid(rows, cols, 1, False, TILE_ELEMENTS)
     for rs, cs, start, h, w in blocks:
         count = h * w
@@ -322,9 +325,11 @@ def _slab_matmul(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     The slab order of the module docstring: _slabs walks C1 as its d
     stacked (i1, j1) matrices, and at each position C0 @ slab is a fresh
     block of W, whose product with x's matching columns adds into y. Both
-    GEMMs and y are float32: x, C0 and each float64 slab are cast after
-    their scaling by a power of two that takes them below 1 in magnitude,
-    and the scaling is undone once, in float64, before the last cast.
+    GEMMs and y are float32: x and C0 are cast after their scaling by a
+    power of two that takes them below 1 in magnitude, and the slab is
+    gathered through value_table() scaled the same way and cast once, so
+    it is float32 as gathered. The scaling is undone once, in float64,
+    before the last cast.
     """
     first, last = q.local_tensors
     _, i0, j0, d = first.shape
@@ -341,13 +346,12 @@ def _slab_matmul(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     c0 = np.ldexp(c0.reshape(j0 * i0, d), -ec)
     # |code * scale| <= qmax * scale < 2**(exponent of scale + bits - 1)
     es = _exponent(last.scale) + last.bits - 1
-    slab32 = np.empty((d, TILE_ELEMENTS), dtype=np.float32)
+    table = np.ldexp(last.value_table(), -es).astype(np.float32)
     # y in the (j0, p, j1) order of the products, so each adds in place
     y = np.zeros((j0, p, j1), dtype=np.float32)
-    for rs, cs, slab in _slabs(last, i1, j1, meter):
+    for rs, cs, slab in _slabs(last, i1, j1, table, meter):
         h, w = rs.stop - rs.start, cs.stop - cs.start
-        s32 = np.multiply(slab, 2.0**-es, out=slab32[:, : h * w])
-        w_slab = (c0 @ s32).reshape(j0, i0 * h, w)
+        w_slab = (c0 @ slab).reshape(j0, i0 * h, w)
         acc = y[:, :, cs]  # y[:, :, cs] += would copy the slice back
         acc += np.matmul(xv[:, :, rs].reshape(p, i0 * h), w_slab)
     y = np.ldexp(y.transpose(1, 0, 2), ex + ec + es, dtype=np.float64)
@@ -379,16 +383,13 @@ def fused_matmul(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
     # state: (p, i_k..i_n, J_acc, d_{k-1}) flattened views
     cur = np.asarray(x, dtype=np.float64).reshape((p,) + tuple(i_f) + (1, 1))
     j_acc = 1
-    d = 1
-    for k in range(n):
-        ik, jk = i_f[k], j_f[k]
+    for k, core in enumerate(q.local_tensors):
+        d, ik, jk, d_next = core.shape
         i_rest = prod(i_f[k + 1 :], start=1)
         # (p, ik, i_rest, j_acc, d) -> (p, i_rest, j_acc, d, ik)
         cur = cur.reshape(p, ik, i_rest, j_acc, d)
         cur = np.ascontiguousarray(np.transpose(cur, (0, 2, 3, 4, 1)))
         a = cur.reshape(p * i_rest * j_acc, d * ik)
-        core = q.local_tensors[k]
-        d_next = core.shape[3]
         if isinstance(core, QuantizedTensor):
             out = np.zeros((a.shape[0], jk * d_next), dtype=np.float64)
             for rs, cs, run in _tiles(core, d * ik, jk * d_next, meter):
@@ -397,8 +398,7 @@ def fused_matmul(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None):
         else:
             out = a @ np.asarray(core, dtype=np.float64).reshape(d * ik, jk * d_next)
         j_acc *= jk
-        d = d_next
-        cur = out.reshape(p, i_rest, j_acc, d)
+        cur = out.reshape(p, i_rest, j_acc, d_next)
     return cur.reshape(p, q.cols).astype(np.float32, order="C")
 
 
@@ -455,15 +455,13 @@ def fused_matmul_t(x: np.ndarray, q: mpo.MpoChain, meter: WorkingSetMeter = None
     )
     i_acc = 1
     for k in range(n - 1, -1, -1):
-        ik, jk = i_f[k], j_f[k]
-        d_prev = 1 if k == 0 else q.local_tensors[k - 1].shape[3]
-        d_k = q.local_tensors[k].shape[3]
+        core = q.local_tensors[k]
+        d_prev, ik, jk, d_k = core.shape
         j_lead = prod(j_f[:k], start=1)
         # (j_lead, jk, d_k, i_acc, p) -> (jk, d_k, j_lead, i_acc, p)
         cur = cur.reshape(j_lead, jk, d_k, i_acc, p)
         cur = np.ascontiguousarray(np.transpose(cur, (1, 2, 0, 3, 4)))
         b = cur.reshape(jk * d_k, j_lead * i_acc * p)
-        core = q.local_tensors[k]
         if isinstance(core, QuantizedTensor):
             out = np.zeros((d_prev * ik, b.shape[1]), dtype=np.float64)
             for rs, cs, run in _tiles(core, d_prev * ik, jk * d_k, meter):

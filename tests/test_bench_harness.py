@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,18 +11,31 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_harnesses_run_with_benchmarks_disabled(tmp_path):
-    # each case runs once, untimed, so an API change that breaks a harness fails here
+    # each case runs once, untimed, so an API change that breaks a harness
+    # fails here; every case collected from the two files must pass
+    files = ["bench/bench_split.py", "bench/bench_unpack.py"]
+    pytest_cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    listed = subprocess.run(
+        pytest_cmd + ["--collect-only", *files],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    assert listed.returncode == 0, listed.stdout + listed.stderr
+    collected = int(re.search(r"(\d+) tests? collected", listed.stdout)[1])
     out = tmp_path / "BENCH_smoke.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--benchmark-disable", "bench/bench_split.py", "bench/bench_unpack.py"],
+        pytest_cmd + ["--benchmark-disable", *files],
         cwd=ROOT,
         env={**os.environ, "BENCH_OUT": str(out)},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "28 passed" in proc.stdout
+    summary = proc.stdout.strip().splitlines()[-1]
+    kinds = r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)"
+    outcomes = {kind: int(count) for count, kind in re.findall(kinds, summary)}
+    assert collected > 0 and outcomes == {"passed": collected}, summary
     assert not out.exists()
 
 

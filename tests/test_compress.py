@@ -283,11 +283,12 @@ class TestFusedMatmul:
                 seen[rs, cs] += 1
             assert (seen == 1).all()
 
+    @pytest.mark.parametrize("order", ["value_table", "slab_order"])
     @pytest.mark.parametrize(
         "shape,bits,mid_byte",
         [((8, 32792), 4, True), ((56, 301), 4, True), ((256, 301), 2, False)],
     )
-    def test_slabs_hold_each_stacked_matrix_tile(self, shape, bits, mid_byte):
+    def test_slabs_hold_each_stacked_matrix_tile(self, shape, bits, mid_byte, order):
         # 8 x 32792: C1 is 64 stacked 1 x 4099 matrices, each row split into
         # pieces, the odd matrices starting mid-byte; 56 x 301: 4 stacked
         # 14 x 301 matrices in tiles of 13 rows (3913 values); 256 x 301: 28
@@ -297,13 +298,22 @@ class TestFusedMatmul:
         d, i1, j1, _ = last.shape
         want = last.codes().reshape(d, i1, j1).astype(np.float64)
         want *= np.float64(last.scale)
+        table = last.value_table()
+        if order == "slab_order":  # the table _slab_matmul gathers through
+            es = compress._exponent(last.scale) + bits - 1
+            table = np.ldexp(table, -es).astype(np.float32)
+            want = np.ldexp(want, -es).astype(np.float32)
         counts = []
         meter = SimpleNamespace(record=counts.append)
         seen = np.zeros((d, i1, j1), dtype=int)
         starts = []
-        for rs, cs, slab in compress._slabs(last, i1, j1, meter):
+        first = None
+        for rs, cs, slab in compress._slabs(last, i1, j1, table, meter):
             h, w = rs.stop - rs.start, cs.stop - cs.start
             assert slab.shape == (d, h * w) and w <= TILE_ELEMENTS
+            assert slab.dtype == table.dtype
+            first = slab if first is None else first
+            assert np.shares_memory(slab, first)  # one slab buffer per walk
             for k in range(d):
                 assert slab[k].tobytes() == want[k, rs, cs].tobytes()
                 starts.append(k * i1 * j1 + rs.start * j1 + cs.start)
@@ -384,12 +394,16 @@ class TestFloat32Slab:
         self.check(monkeypatch, rand((64, 512), 24) * np.float32(1e-3), q)
 
     @pytest.mark.parametrize("bits", [2, 4, 8])
-    def test_packed_scale_beyond_float32(self, monkeypatch, bits):
-        # every value code * scale but 0 lies past float32's maximum, and
-        # the small first core brings W back to about 1e10
+    @pytest.mark.parametrize("scale,c0_scale", [(1e40, 1e-30), (1e-42, 1e30)])
+    def test_packed_scale_beyond_float32(self, monkeypatch, bits, scale, c0_scale):
+        # 1e40: every value code * scale but 0 lies past float32's maximum;
+        # 1e-42: below its normal range, so the slab's table is scaled up
+        # (a negative exponent). The first core brings W back to about 1e10
+        # and 1e-12
         packed = deco_quantize(rand((512, 512), 25), bits).local_tensors[1]
-        huge = QuantizedTensor(packed.shape, bits, 1e40, packed.payload)
-        q = compress.QuantizedMpo((rand((1, 8, 8, 64), 26) * np.float32(1e-30), huge))
+        odd = QuantizedTensor(packed.shape, bits, scale, packed.payload)
+        c0 = rand((1, 8, 8, 64), 26) * np.float32(c0_scale)
+        q = compress.QuantizedMpo((c0, odd))
         self.check(monkeypatch, rand((64, 512), 27), q)
 
 
