@@ -1,16 +1,11 @@
 """Data-free matrix and KV-cache compression via tensor-train factorization.
 
-A matrix is split into a chain of small cores; all but the first core are
-quantized to 2/4/8-bit integers with one symmetric scale each, while the
-first core stays at full precision. The plan keeps that first core to at
-most 1/64 of the matrix's values, and a gauge sweep before packing
-rescales every bond row of the packed cores to the full code range,
-moving the factors into the first core, which so absorbs the wide values.
-Factorized and compressed matrices are the one chain type, MpoChain, whose
-cores are float32 arrays or packed QuantizedTensors; QuantizedMpo is
-another name for it. Reads either rebuild the matrix or stream the packed
-cores tile-by-tile through fused multiplies; both decode a packed core
-through its one table of code * scale values.
+A matrix is split into a chain of small cores; all but the first are
+quantized to 2/4/8-bit integers with one symmetric scale each, and the
+first stays at full precision. MpoChain is the one chain type, for
+factorized and compressed matrices alike (QuantizedMpo is another name for
+it). compress states the rules of the split and of the reads, and kvcache
+builds a KV cache on them.
 """
 
 from .analysis import (

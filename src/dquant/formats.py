@@ -8,7 +8,8 @@ DQT1 (single tensor):
     dtype   u8   0 = float32, 1 = packed quantized
     ndim    u8
     dims    ndim * u64
-    [quantized only] bits u8, scale f32
+    [quantized only] bits u8, scale f32 (a writer refuses a scale that
+                     float32 does not hold exactly)
     payload      row-major float32, or packed codes (ceil(count*bits/8) bytes)
 
 DQZ1 (compressed chain):
@@ -18,8 +19,9 @@ DQZ1 (compressed chain):
     i_factors n * u64
     j_factors n * u64
     bits      u8   the packed cores' width, 0 when no core is packed
-    flags     n * u8   1 = core is packed, 0 = full precision
-    bodies scroll     each core as a DQT1 body (everything after the magic)
+    flags     n * u8   1 = core is packed, 0 = full precision; a reader
+                       refuses any other value
+    bodies         each core as a DQT1 body (everything after the magic)
 
 The DQZ1 reader checks the cores' bonds and widths through mpo.MpoChain,
 then checks once, against that chain, the header's bits byte and its
@@ -59,6 +61,17 @@ def _read_exact(f, n, what):
     if len(data) != n:
         raise MalformedFile(f"truncated file while reading {what}")
     return data
+
+
+def _check_scales(cores):
+    """MalformedFile for a packed core whose scale float32 does not hold exactly."""
+    for t in cores:
+        if isinstance(t, QuantizedTensor):
+            with np.errstate(over="ignore"):  # an overflow to inf is refused below
+                # in float64: numpy compares a float32 with a float in float32
+                exact = float(np.float32(t.scale)) == t.scale
+            if not exact:
+                raise MalformedFile(f"scale {t.scale!r} does not fit a float32 exactly")
 
 
 def _write_tensor_body(f, t):
@@ -108,6 +121,7 @@ def _expect_eof(f, what):
 
 def write_tensor(path, t):
     """Write a float array or QuantizedTensor as a DQT1 file."""
+    _check_scales((t,))
     with open(path, "wb") as f:
         f.write(TENSOR_MAGIC)
         _write_tensor_body(f, t)
@@ -125,6 +139,7 @@ def read_tensor(path):
 
 def write_mpo(path, q: MpoChain):
     """Write a chain as a DQZ1 file, float32 or packed cores alike."""
+    _check_scales(q.local_tensors)
     with open(path, "wb") as f:
         f.write(MPO_MAGIC)
         n = q.plan.n
@@ -154,6 +169,9 @@ def read_mpo(path) -> MpoChain:
         j_factors = struct.unpack(f"<{n}Q", _read_exact(f, 8 * n, "j_factors"))
         (bits,) = struct.unpack("<B", _read_exact(f, 1, "bits"))
         flags = _read_exact(f, n, "flags")
+        for k, flag in enumerate(flags):
+            if flag > 1:
+                raise MalformedFile(f"core {k} has flag {flag}, not 0 or 1")
         cores = []
         for k in range(n):
             t = _read_tensor_body(f)

@@ -3,21 +3,15 @@
 Lifecycle: prefill stores each of K and V as one compressed segment;
 decode appends full-precision rows to a tail buffer, and the moment the
 tail reaches `chunk_len` rows it is compressed into a new immutable
-segment and the tail resets. K, V and query input enters through one
-row rule (_rows): finite float32 (T, dim) rows, else DimMismatch for a
-wrong shape (UnsupportedDtype, by quantize's dtype rule, for rows of
-another kind), then NonFiniteInput for a NaN, an infinity or a float64
-entry beyond the float32 range. prefill takes keys of any row count T
-and values of the keys' T; append_token takes one K and one V row, and
-attention_scores one query row, each as (dim,) or (1, dim). In both
-modes every row is checked before anything is written or charged, so a
-refused call leaves the cache and its ledger as they were.
+segment and the tail resets. prefill takes keys of any row count T and
+values of the keys' T; append_token takes one K and one V row, and
+attention_scores one query row. All of them pass the one row rule (_rows),
+and in both modes every row is checked before anything is written or
+charged, so a refused call leaves the cache and its ledger as they were.
 
-Every read is one walk (_read) over the same parts, the segments and
-then the live tail as one more dense part, charging the side's stored
-bytes once by one byte rule, the ledger's too: a side's stored bytes are
-the bytes of its segments, each fixed once when the segment is sealed,
-plus 2 * tail_len * dim. attention_scores streams quantized segments
+Every read is one walk (_read) over a side's segments and then its live
+tail, charging the side's stored bytes (_stored_side) once; the ledger
+counts by the same rule. attention_scores streams quantized segments
 through the fused multiply, so it makes no full-precision copy of a
 segment; read_keys and read_values rebuild each segment in full with
 deco_dequantize.
@@ -100,8 +94,12 @@ class MemoryLedger:
 
 
 def _rows(x, dim, count=None) -> np.ndarray:
-    """The one row rule: x as float32 (T, dim) rows, T = count if given, else
-    DimMismatch; then NonFiniteInput unless every entry is finite in float32."""
+    """The one row rule: x as float32 (T, dim) rows, T = count if given.
+
+    A single row may be (dim,) or (1, dim); any other shape is DimMismatch (a
+    non-numeric kind UnsupportedDtype first), then NonFiniteInput unless every
+    entry is finite in float32, float64 entries beyond its range included.
+    """
     with np.errstate(over="ignore"):
         given = np.asarray(_check_dtype(x, "rows"), dtype=np.float32)
     rows = given[None] if given.ndim == 1 else given
@@ -114,7 +112,7 @@ def _rows(x, dim, count=None) -> np.ndarray:
 
 
 def _stored_side(lc, segment_bytes) -> int:
-    """Stored bytes of one side of a layer: its segments, then its tail at 2 B/value."""
+    """Stored bytes of a side: its sealed segments' bytes plus 2 B per tail value."""
     return sum(segment_bytes) + 2 * lc.tail_len * lc.config.dim
 
 

@@ -2,31 +2,18 @@
 
 A matrix W of shape (prod(i_factors), prod(j_factors)) is reshaped to
 [i1..in, j1..jn], permuted to the interleaved order [i1, j1, i2, j2, ...],
-and split left to right at full rank. Each unfolding is split through the
-eigendecomposition of its smaller Gram matrix (Halko et al., arXiv
-0909.4061): with a the unfolding, or its transpose when it is tall, and u
-the orthonormal eigenvectors of a @ a.T, proj = u.T @ a and s_k = |proj_k|,
-sorted in descending order. Each s_k is divided evenly between the two
-sides of its split (u*sqrt(s) stays in the current core, proj/sqrt(s) is
-carried forward), so no single core holds the full dynamic range of the
-input. Bond dimensions follow
+and split left to right at full rank, with bond dimensions
 
     d_k = min(prod_{l<=k} i_l*j_l, prod_{l>k} i_l*j_l)
 
-and the factorization is exact up to float32 round-off.
-
-The split works in place on one float64 carry, a copy of the interleaved
-input that decompose owns: _split consumes the unfolding it is handed.
-When a is a row-major wide unfolding (every first split), proj is written
-over it in column blocks of about SPLIT_BLOCK values, since each column
-of proj depends only on the same column of a, so no second full-size
-array is made. The last split divides proj by sqrt(s) straight into a
-float32 array, so that core is cast once, as the float64 quotient is
-rounded; the other cores are cast when the chain is built.
-
-MpoChain is the one chain type: decompose returns float32 cores, and
-compress.deco_quantize packs all but the first. Its constructor is the
-only check of a chain's shape, for every caller, the DQZ1 reader included.
+The factorization is exact up to float32 round-off. Each unfolding is
+split through the eigendecomposition of its smaller Gram matrix (Halko et
+al., arXiv 0909.4061): with a the unfolding, or its transpose when it is
+tall, and u the orthonormal eigenvectors of a @ a.T, proj = u.T @ a and
+s_k = |proj_k|, sorted in descending order. Each s_k is divided evenly
+between the two sides of its split (u*sqrt(s) stays in the current core,
+proj/sqrt(s) is carried forward), so no single core holds the full dynamic
+range of the input.
 
 No SVD fallback is needed for rank-deficient or ill-conditioned input:
 eigh returns an orthonormal u even for a singular Gram matrix, so
@@ -40,6 +27,10 @@ entry, so a NaN or infinite entry anywhere, or float64 input too large to
 square, makes it non-finite, and _split raises NonFiniteInput. Small s_k
 are accurate only to about sqrt(eps) * s_1 in absolute terms, which does
 not affect the product.
+
+MpoChain is the one chain type: decompose returns float32 cores, and
+compress.deco_quantize packs all but the first. Its constructor is the
+only check of a chain's shape, for every caller, the DQZ1 reader included.
 """
 
 from dataclasses import dataclass, field
@@ -203,14 +194,15 @@ def _interleave(t, i_factors, j_factors):
 
 
 def _split(mat: np.ndarray, dtype=np.float64):
-    """(left, right) with mat = left @ right, sqrt(s_k) on each side of bond k.
+    """(left, right) with mat = left @ right, by the module's Gram route.
 
-    The Gram route of the module docstring; a bond with s_k = 0 is zero on
-    both sides. Raises NonFiniteInput, before eigh runs, when the Gram
-    matrix is not finite. Consumes mat, a writable float64 array. When a is
-    C-contiguous, proj is written over it in column blocks; otherwise it is
-    a fresh product, as it must stay row-major for s to sum in the same
-    order. proj / sqrt(s) is written as `dtype`, rounded once from float64.
+    Raises NonFiniteInput, before eigh runs, when the Gram matrix is not
+    finite. Consumes mat, a writable float64 array. When a is C-contiguous
+    (every first split), proj is written over it in column blocks of about
+    SPLIT_BLOCK values, since each column of proj depends only on the same
+    column of a, so no second full-size array is made; otherwise it is a
+    fresh product, as it must stay row-major for s to sum in the same order.
+    proj / sqrt(s) is written as `dtype`, rounded once from float64.
     """
     tall = mat.shape[0] > mat.shape[1]
     a = mat.T if tall else mat
@@ -247,10 +239,8 @@ def _split(mat: np.ndarray, dtype=np.float64):
 def decompose(m: np.ndarray, plan: ShapePlan) -> MpoChain:
     """Full-rank tensor-train split of a matrix under the given plan.
 
-    Each unfolding is split through the eigendecomposition of its smaller
-    Gram matrix, with no SVD and no fallback (see the module docstring for
-    why none is needed). Raises NonFiniteInput on a NaN or infinite entry,
-    or on float64 entries so large that the Gram matrix overflows.
+    Raises NonFiniteInput on a NaN or infinite entry, or on float64 entries
+    so large that the Gram matrix overflows.
     """
     m = _check_dtype(m, "matrix")
     if m.ndim != 2 or m.shape != (plan.rows, plan.cols):

@@ -6,16 +6,11 @@ Quantization uses a single positive step size per tensor:
     code = clamp(round_half_away_from_zero(t / step), -qmax, qmax)
 
 The code range is symmetric: the most negative two's-complement value
-(-2**(bits-1)) is never produced. quantize_rtn walks the flat tensor in
-blocks of QUANT_BLOCK elements. Each block is computed in two reused
-float64 buffers with the operations of a single pass, y = t * qmax /
-max(|t|) (the division skipped when max(|t|) is 1.0, as after the gauge,
-since x / 1.0 is exact), then rounded as trunc(y + copysign(0.5, y)), which
-is copysign(floor(|y| + 0.5), y), -0 included; the clamp never binds
-(quantize_rtn says why), so none runs. The block's int8 codes are
-packed straight into their bytes of the payload, so the codes and bytes
-are those of one pass and no full-size float64, code or lane array is
-made. pack is the range check in front of the same packer.
+(-2**(bits-1)) is never produced. quantize_rtn computes the codes in
+blocks of QUANT_BLOCK elements, in two reused float64 buffers, and packs
+each block straight into its bytes of the payload, so no full-size
+float64, code or lane array is made. pack is the range check in front of
+the same packer.
 
 Packed payload layout (stable wire format): codes are stored in row-major
 element order, two's complement within `bits` bits, little-endian bit
@@ -200,9 +195,9 @@ def unpack_range(
     Elements never straddle byte boundaries (bits divides 8), so only the
     covering byte range is read. Each covering byte is looked up in
     `table`, a (256, 8 // bits) array in CODE_TABLES lane order; the
-    default, CODE_TABLES[bits], gives int8 codes. The fused multiply
-    passes a core's value_table(), so each of its tiles is dequantized by
-    this one gather. start and count must be integers (else ShapeMismatch).
+    default, CODE_TABLES[bits], gives int8 codes, and a core's
+    value_table() gives its decoded values. start and count must be
+    integers (else ShapeMismatch).
     `out`, if given, is a 1-D array of count elements of the table's dtype
     (else ShapeMismatch), filled and returned. A range on byte boundaries is
     gathered straight into out, made here if not given; any other range is
@@ -222,8 +217,8 @@ def unpack_range(
     if out is not None and (out.shape != (count,) or out.dtype != table.dtype):
         want = f"({count},) {table.dtype}"
         raise ShapeMismatch(f"out must be {want}, got {out.shape} {out.dtype}")
-    # positional arguments: numpy parses keywords to frombuffer and take
-    # slowly, about 0.7 us of a 4-6 us tile gather
+    # positional arguments: numpy's keyword parsing for frombuffer and take
+    # is a visible share of a tile gather
     chunk = np.frombuffer(payload, np.uint8, byte1 - byte0, byte0)
     skip = start - byte0 * per
     if skip or count % per:
@@ -235,7 +230,7 @@ def unpack_range(
     out = np.empty(count, table.dtype) if out is None else out
     # mode="clip" never clips (a byte always indexes one of the 256 rows)
     # but, unlike "raise", gathers into out without a buffer; the method
-    # skips np.take's dispatch, about 1 us of a 4-6 us tile gather
+    # skips np.take's dispatch
     table.take(chunk, 0, out.reshape(-1, per), "clip")
     return out
 
@@ -258,10 +253,8 @@ CODE_TABLES = {bits: _code_table(bits) for bits in SUPPORTED_BITS}
 def quantize_rtn(t: np.ndarray, bits: int) -> QuantizedTensor:
     """Quantize a tensor with one symmetric scale (round half away from zero).
 
-    Each block's codes are computed in two reused float64 buffers and packed
-    straight into the payload (see the module docstring). A degenerate
-    all-zero input gets scale 1.0 and all-zero codes so that dequantization
-    reproduces it exactly.
+    A degenerate all-zero input gets scale 1.0 and all-zero codes so that
+    dequantization reproduces it exactly.
     """
     bits = _check_bits(bits)
     t = _check_dtype(t, "tensor")
@@ -294,7 +287,8 @@ def quantize_rtn(t: np.ndarray, bits: int) -> QuantizedTensor:
             if amax != 1.0:
                 yb /= amax
             # round half away from zero: trunc(y + copysign(0.5, y)) equals
-            # copysign(floor(|y| + 0.5), y), and the int8 cast truncates.
+            # copysign(floor(|y| + 0.5), y), -0 included, and the int8 cast
+            # truncates.
             # No clip: |t| <= amax and each float64 step rounds monotonically,
             # so |y| <= qmax (1 + 2**-53)**2 < qmax + 0.5 (for float32 t the
             # product is exact and |y| <= qmax)

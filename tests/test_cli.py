@@ -1,5 +1,8 @@
 import json
+import runpy
 import struct
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from dquant import (
     pack,
     synth_activations,
 )
+from dquant import cli
 from dquant.cli import main
 from dquant.errors import MalformedFile
 from dquant.formats import read_mpo, read_tensor, write_mpo, write_tensor
@@ -466,3 +470,20 @@ def test_bench_verbose_prints_the_medians(tmp_path, capsys):
     medians = json.loads(out)["median_frobenius_error"]
     assert err.splitlines() == [f"{k}: {v:.4f}" for k, v in medians.items()]
     assert len(medians) == 3
+
+
+@pytest.mark.parametrize("argv,code", [([], 4), (["nosuch"], 4), (["--help"], 0)])
+def test_console_entry_exits_with_mains_code(capsys, monkeypatch, argv, code):
+    # the console script runs entry(), and `python -m dquant.cli` its __main__ line
+    monkeypatch.setattr(sys, "argv", ["dquant", *argv])
+    with pytest.raises(SystemExit) as entry:
+        cli.entry()
+    assert entry.value.code == code
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", "'dquant.cli' found in sys.modules", RuntimeWarning
+        )
+        with pytest.raises(SystemExit) as as_main:
+            runpy.run_module("dquant.cli", run_name="__main__")
+    assert as_main.value.code == code
+    assert capsys.readouterr().out == ""

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,38 @@ def test_flag_payload_mismatch(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(MalformedFile):
         read_mpo(path)
+
+
+@pytest.mark.parametrize("flag", [2, 255])
+@pytest.mark.parametrize("bodies", [True, False], ids=["whole", "cut-after-flags"])
+def test_flag_other_than_0_or_1(tmp_path, flag, bodies):
+    # the packed core's flag is 1 and a nonzero flag used to read as "packed";
+    # with the bodies cut off, only a flag check made first names the flag
+    path = tmp_path / "a.dqz"
+    write_mpo(path, deco_quantize(np.ones((8, 8), np.float32), 8))
+    flag_offset = bits_offset(2) + 1 + 1
+    data = bytearray(path.read_bytes())
+    assert data[flag_offset] == 1
+    data[flag_offset] = flag
+    path.write_bytes(bytes(data if bodies else data[: flag_offset + 1]))
+    with pytest.raises(MalformedFile, match=f"flag {flag}, not 0 or 1"):
+        read_mpo(path)
+
+
+@pytest.mark.parametrize("scale", [1e39, 1e-300, 1e-42])
+def test_scale_float32_does_not_hold_is_refused_before_writing(tmp_path, scale):
+    # overflows float32, underflows to 0.0, rounds to another subnormal
+    packed = QuantizedTensor((2, 1, 2, 1), 4, scale, pack([1, -1, 7, -7], 4))
+    chain = MpoChain((np.ones((1, 2, 1, 2), np.float32), packed))
+    for write, t, path in (
+        (write_tensor, packed, tmp_path / "q.dqt"),
+        (write_mpo, chain, tmp_path / "c.dqz"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedFile, match="float32"):
+                write(path, t)
+        assert not path.exists()
 
 
 def test_dims_beyond_the_file(tmp_path):
