@@ -5,13 +5,17 @@ Run from the root of a checkout, once per checkout, and diff the outputs:
     PYTHONPATH=src python bench/digests.py > after.txt
     PYTHONPATH=<other checkout>/src python bench/digests.py > before.txt
 
-Cases, at fixed seeds, 179 lines:
+Cases, at fixed seeds, 185 lines:
 
 * the DQZ1 file of deco_quantize at 512^2, 2048x128, 2400x128, 256x128,
   120x72 (n = 3) and 7x301, at 2, 4 and 8 bits (18 lines);
 * for each of those chains, fused_matmul and fused_matmul_t at p = 1, 3 and
   64, the rebuild (mpo.reconstruct), and the int8 codes() of every packed
   core (144 lines);
+* fused_matmul at p = 64, the slab order, on the 512^2 b4 chain with int64,
+  bool, float16 and float64 (x 1e30) operands, and on two chains of a 512^2
+  b4 packed core given scale 1e40 and 1e-42 and a first core scaled by 1e-30
+  and 1e30 (6 lines); each output must be finite, with no warning raised;
 * the kv-sim trace CSVs of a b4 --audit run, a b4 --audit run with
   --prompt-len 0 and a --bits 16 run (3 lines);
 * the analyze-outliers CSV of a 512^2 matrix, and the dquant bench CSV of
@@ -30,6 +34,7 @@ import hashlib
 import io
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +81,31 @@ def chain_cases(tmp):
                 y, yt = compress.fused_matmul(x, chain), compress.fused_matmul_t(xt, chain)
                 yield f"fused_matmul.{label}.p{p}", digest(y)
                 yield f"fused_matmul_t.{label}.p{p}", digest(yt)
+
+
+def slab_cases():
+    m = benchlib.weight_matrix(512, 512, outlier_cols=8)
+    chain = compress.deco_quantize(m, 4)
+    first, packed = chain.local_tensors
+    rng = np.random.default_rng(512)
+    x = rng.standard_normal((64, 512))
+    cases = [
+        ("int64", rng.integers(-1000, 1000, (64, 512)), chain),
+        ("bool", x > 0, chain),
+        ("float16", x.astype(np.float16), chain),
+        ("float64e30", x * 1e30, chain),
+    ]
+    for scale, first_scale in ((1e40, 1e-30), (1e-42, 1e30)):
+        odd = compress.QuantizedTensor(packed.shape, 4, scale, packed.payload)
+        odd_chain = mpo.MpoChain((first * np.float32(first_scale), odd))
+        cases.append((f"scale{scale:g}", x.astype(np.float32), odd_chain))
+    for name, operand, q in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = compress.fused_matmul(operand, q)
+        if not np.isfinite(y).all():
+            raise SystemExit(f"fused_matmul.slab.{name}: an output is not finite")
+        yield f"fused_matmul.slab.512x512.b4.{name}", digest(y)
 
 
 def run_cli(*argv):
@@ -136,7 +166,10 @@ def synth_cases():
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        cases = (*chain_cases(tmp), *cli_cases(tmp), *cache_cases(), *synth_cases())
+        cases = (
+            *chain_cases(tmp), *slab_cases(), *cli_cases(tmp), *cache_cases(),
+            *synth_cases(),
+        )
         for case, sha in cases:
             sys.stdout.write(f"{case} {sha}\n")
 

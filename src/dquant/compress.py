@@ -50,9 +50,9 @@ each d * TILE_ELEMENTS values at full rank (d = i0 * j0).
 
 The slab order multiplies in float32, as a dequantizing kernel works at its
 own precision, and sgemm does its mult-adds in about half dgemm's time.
-Each operand is first scaled by an exact power of two that takes it below 1
-in magnitude (x by max |x|, C0 by max |C0|, the table by qmax * scale, which
-bounds |code * scale|), then cast. So each value rounds once and no cast
+Its three operands, x, C0 and the slab's table (value_table() of C1), are
+each scaled by the power of two above its own max |value|, exactly in
+float64, then cast to float32 once. So each value rounds once and no cast
 overflows, even where x, W or code * scale lie past float32's range, and a
 block entry is at most d, an entry of y at most rows * d (up to rounding).
 The scaling is undone once, in float64, before y's cast. The sweeps stay
@@ -264,6 +264,16 @@ def _exponent(amax: float) -> int:
     return max(frexp(amax)[1], -1022)  # -1022: 2.0**-e stays finite
 
 
+def _unit32(a: np.ndarray):
+    """(a * 2**-e in float32, e) for e = _exponent(max |a|): the slab scaling.
+
+    max |a| is max(a.max(), -a.min()) read as floats, so no integer wraps
+    and no |a| is made; the product is exact in float64, cast once.
+    """
+    e = _exponent(max(float(a.max(initial=0)), -float(a.min(initial=0))))
+    return np.multiply(a, 2.0**-e, dtype=np.float64).astype(np.float32), e
+
+
 def _slab_matmul(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     """x @ W for a chain [C0, C1] with C1 packed: the module's slab order.
 
@@ -273,18 +283,12 @@ def _slab_matmul(x: np.ndarray, q: mpo.MpoChain, meter) -> np.ndarray:
     _, i0, j0, d = first.shape
     _, i1, j1, _ = last.shape
     p = x.shape[0]
-    if x.dtype.kind != "f":
-        x = x.astype(np.float64)
-    ex = _exponent(float(np.abs(x).max(initial=0)))
-    xv = np.multiply(x, 2.0**-ex, dtype=np.float64).astype(np.float32)
+    xv, ex = _unit32(x)
     xv = xv.reshape(p, i0, i1)
     # rows in (j0, i0) order, so C0 @ slab is j0 stacked (i0 * h, w) blocks
-    c0 = np.ascontiguousarray(first.reshape(i0, j0, d).transpose(1, 0, 2))
-    ec = _exponent(float(np.abs(c0).max(initial=0)))
-    c0 = np.ldexp(c0.reshape(j0 * i0, d), -ec)
-    # |code * scale| <= qmax * scale < 2**(exponent of scale + bits - 1)
-    es = _exponent(last.scale) + last.bits - 1
-    table = np.ldexp(last.value_table(), -es).astype(np.float32)
+    c0, ec = _unit32(first.reshape(i0, j0, d).transpose(1, 0, 2))
+    c0 = c0.reshape(j0 * i0, d)
+    table, es = _unit32(last.value_table())
     # y in the (j0, p, j1) order of the products, so each adds in place
     y = np.zeros((j0, p, j1), dtype=np.float32)
     for rs, cs, slab in _slabs(last, i1, j1, table, meter):

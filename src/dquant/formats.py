@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import MalformedFile
 from .mpo import MpoChain
-from .quantize import QuantizedTensor, payload_size
+from .quantize import QuantizedTensor, _check_dtype, payload_size
 
 TENSOR_MAGIC = b"DQT1"
 MPO_MAGIC = b"DQZ1"
@@ -75,16 +75,16 @@ def _check_scales(cores):
 
 
 def _write_tensor_body(f, t):
+    """Write the DQT1 body of a QuantizedTensor or a float32 array."""
     if isinstance(t, QuantizedTensor):
         f.write(struct.pack("<BB", DTYPE_PACKED, len(t.shape)))
         f.write(struct.pack(f"<{len(t.shape)}Q", *t.shape))
         f.write(struct.pack("<Bf", t.bits, t.scale))
         f.write(t.payload)
     else:
-        arr = np.asarray(t, dtype=np.float32)
-        f.write(struct.pack("<BB", DTYPE_FLOAT32, arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        f.write(arr.astype("<f4").tobytes())
+        f.write(struct.pack("<BB", DTYPE_FLOAT32, t.ndim))
+        f.write(struct.pack(f"<{t.ndim}Q", *t.shape))
+        f.write(t.astype("<f4").tobytes())
 
 
 def _read_tensor_body(f):
@@ -120,7 +120,13 @@ def _expect_eof(f, what):
 
 
 def write_tensor(path, t):
-    """Write a float array or QuantizedTensor as a DQT1 file."""
+    """Write a float array or QuantizedTensor as a DQT1 file.
+
+    An array passes the package's dtype rule, and is cast to float32, before
+    the file is opened.
+    """
+    if not isinstance(t, QuantizedTensor):
+        t = np.asarray(_check_dtype(t, "tensor"), dtype=np.float32)
     _check_scales((t,))
     with open(path, "wb") as f:
         f.write(TENSOR_MAGIC)

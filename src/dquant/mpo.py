@@ -118,12 +118,13 @@ def plan_shapes(rows: int, cols: int, n: int = 2) -> ShapePlan:
 class MpoChain:
     """Ordered 4-D cores [d_{k-1}, i_k, j_k, d_k] with d_0 = d_n = 1.
 
-    Each core is a float32 array or a packed QuantizedTensor. The
-    constructor checks the shape (at least two 4-axis cores, outer bonds 1,
-    adjacent bonds equal) and reads `plan` off the cores once. It reads
-    `bits` off them too: a chain holds one width, that of its packed cores
-    (None when none is packed), and packed cores of two widths raise
-    UnsupportedBits.
+    Each core is a float32 array or a packed QuantizedTensor; any other core
+    passes the package's dtype rule before its float32 cast. The constructor
+    checks the shape (at least two 4-axis cores, outer bonds 1, inner bonds
+    at least 1, adjacent bonds equal) and reads `plan` off the cores once.
+    It reads `bits` off them too: a chain holds one width, that of its
+    packed cores (None when none is packed), and packed cores of two widths
+    raise UnsupportedBits.
     """
 
     local_tensors: tuple
@@ -132,8 +133,10 @@ class MpoChain:
 
     def __post_init__(self):
         cores = tuple(
-            t if isinstance(t, QuantizedTensor) else np.asarray(t, dtype=np.float32)
-            for t in self.local_tensors
+            t
+            if isinstance(t, QuantizedTensor)
+            else np.asarray(_check_dtype(t, f"core {k}"), dtype=np.float32)
+            for k, t in enumerate(self.local_tensors)
         )
         object.__setattr__(self, "local_tensors", cores)
         if len(cores) < 2:
@@ -148,6 +151,8 @@ class MpoChain:
                 raise BondMismatch(
                     f"adjacent bonds disagree: {a.shape[3]} vs {b.shape[0]}"
                 )
+            if a.shape[3] < 1:
+                raise BondMismatch(f"a bond dimension is {a.shape[3]}, not >= 1")
         plan = ShapePlan(
             tuple(t.shape[1] for t in cores), tuple(t.shape[2] for t in cores)
         )

@@ -7,6 +7,7 @@ maps it to exit 3.
 """
 
 import argparse
+import re
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from dquant import (
     QuantizedTensor,
     cli,
     compress,
+    formats,
     iqr_stats,
     mpo,
     pack,
@@ -337,3 +339,36 @@ class TestDtypeRule:
                 if isinstance(g, np.ndarray):
                     g, w = g.tobytes(), w.tobytes()
                 assert g == w, site
+
+
+BAD_ARRAYS = {
+    "strings": np.full((16, 16), "1.5"),
+    "objects": np.full((16, 16), None, dtype=object),
+    "complex": np.full((16, 16), 1 + 2j),
+    "dates": np.full((16, 16), np.datetime64("2024-01-01")),
+}
+
+
+class TestDtypeRuleBeforeTheCast:
+    """MpoChain and write_tensor refuse an array by the one rule before they
+    cast it to float32, and write_tensor before it opens the file."""
+
+    def refused(self, call, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ComplexWarning fails too
+            with pytest.raises(UnsupportedDtype, match=re.escape(str(bad.dtype))):
+                call()
+
+    @pytest.mark.parametrize("kind", BAD_ARRAYS)
+    def test_mpo_chain(self, kind):
+        bad = BAD_ARRAYS[kind]
+        first = np.ones((1, 1, 16, 16), np.float32)
+        last = np.ones((16, 16, 1, 1), np.float32)
+        self.refused(lambda: mpo.MpoChain((bad.reshape(first.shape), last)), bad)
+        self.refused(lambda: mpo.MpoChain((first, bad.reshape(last.shape))), bad)
+
+    @pytest.mark.parametrize("kind", BAD_ARRAYS)
+    def test_write_tensor(self, tmp_path, kind):
+        bad, path = BAD_ARRAYS[kind], tmp_path / "t.dqt"
+        self.refused(lambda: formats.write_tensor(path, bad), bad)
+        assert not path.exists()

@@ -179,6 +179,26 @@ def test_dequantize_core_not_4d(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dequantize_zero_bond(tmp_path, capsys):
+    # C0 (1, 2, 2, 0) in full precision and C1 (0, 3, 3, 1) packed at 4 bits:
+    # the bonds agree, and neither core holds a value
+    path = tmp_path / "m.dqz"
+    path.write_bytes(
+        b"DQZ1"
+        + struct.pack("<BB2Q2QB2B", 1, 2, 2, 3, 2, 3, 4, 0, 1)
+        + struct.pack("<BB4Q", 0, 4, 1, 2, 2, 0)
+        + struct.pack("<BB4QBf", 1, 4, 0, 3, 3, 1, 4, 1.0)
+    )
+    with pytest.raises(MalformedFile, match="bond dimension is 0"):
+        read_mpo(path)
+    out = tmp_path / "back.dqt"
+    code, _, err = run(capsys, "dequantize", "--input", str(path), "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_analyze_outliers(tmp_path, capsys):
     m = synth_activations(256, 256, 8, 20.0, seed=2)
     src = write_matrix(tmp_path / "m.dqt", m)

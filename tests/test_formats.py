@@ -1,3 +1,4 @@
+import io
 import struct
 import warnings
 
@@ -12,6 +13,7 @@ from dquant import (
     compression_report,
     deco_quantize,
     decompose,
+    formats,
     pack,
     plan_shapes,
     quantize_rtn,
@@ -183,6 +185,38 @@ def test_truncated_tensor(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-3])
     with pytest.raises(MalformedFile):
+        read_tensor(path)
+
+
+class ShortReads(io.BytesIO):
+    """A file whose `method` (read or readinto) gives one byte fewer than asked."""
+
+    def __init__(self, data, method):
+        super().__init__(data)
+        self.method = method
+
+    def read(self, n=-1):
+        data = super().read(n)
+        return data[:-1] if self.method == "read" else data
+
+    def readinto(self, b):
+        if self.method == "readinto":
+            b = memoryview(b).cast("B")[:-1]
+        return super().readinto(b)
+
+
+@pytest.mark.parametrize(
+    "method,what", [("read", "magic"), ("readinto", "float payload")]
+)
+def test_a_short_read_is_malformed(tmp_path, monkeypatch, method, what):
+    # the file holds every byte _require_left asks for, but a read returns less
+    path = tmp_path / "t.dqt"
+    write_tensor(path, np.ones((4, 4), np.float32))
+    data = path.read_bytes()
+    monkeypatch.setattr(
+        formats, "open", lambda *_: ShortReads(data, method), raising=False
+    )
+    with pytest.raises(MalformedFile, match=f"truncated file while reading {what}"):
         read_tensor(path)
 
 

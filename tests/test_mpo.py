@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dquant import MpoChain, ShapePlan, decompose, plan_shapes, reconstruct, split_large_small
-from dquant import compression_report, deco_quantize, mpo, quantize_rtn
+from dquant import QuantizedTensor, compression_report, deco_quantize, mpo, quantize_rtn
 from dquant.compress import factorize
 from dquant.errors import (
     BondMismatch,
@@ -201,6 +201,15 @@ class TestReconstruct:
                     np.zeros((3, 2, 2, last), np.float32),
                 )
             )
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["float", "packed"])
+    def test_inner_bonds_must_be_at_least_one(self, packed):
+        # C0 (1, 2, 2, 0) and C1 (0, 3, 3, 1) agree on a bond that holds nothing
+        last = np.zeros((0, 3, 3, 1), np.float32)
+        if packed:
+            last = QuantizedTensor(last.shape, 4, 1.0, b"")
+        with pytest.raises(BondMismatch, match="bond dimension is 0"):
+            MpoChain((np.zeros((1, 2, 2, 0), np.float32), last))
 
 
 class TestChainWidth:
